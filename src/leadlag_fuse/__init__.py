@@ -6,6 +6,7 @@ from .fusion import (
     FusionArchitecture,
     FusionModel,
     TrainingSample,
+    TrainingSettings,
     TrainReport,
     extract_embeddings,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "SyntheticSpec",
     "TrainReport",
     "TrainingSample",
+    "TrainingSettings",
     "build_graph",
     "cosine_similarity",
     "discretize_equal_frequency",

@@ -20,14 +20,16 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import fusion, pipeline
 from .diffusion import RwrConfig
+from .fusion import TrainingSettings
 from .leadlag import LagSpec
 from .market_data import PricePanel, load_panel_csv, load_prices, write_panel_csv
-from .pipeline import ConfigError, ModelSettings, RunConfig, TrainingSettings
+from .pipeline import ConfigError, ModelSettings, RunConfig
 from .synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic
 
 logger = logging.getLogger(__name__)
@@ -42,38 +44,28 @@ EXIT_CONFIG = 3
 EXIT_MISSING_INPUT = 4
 
 
+def _json_tree(obj) -> dict:
+    """A dataclass as the JSON-shaped dict a config file holds (tuples become lists)."""
+    return json.loads(json.dumps(asdict(obj)))
+
+
 def default_config() -> dict:
-    """Schema and defaults of the run configuration file."""
+    """Schema and defaults of the run configuration file.
+
+    Run and synth defaults are those of ``RunConfig`` and ``SyntheticSpec``;
+    only the data location, the base period and the data seed belong to the
+    CLI alone.
+    """
+    run = _json_tree(RunConfig())
+    seeds = {"data": 7, "split": run.pop("seed_split"), "init": run.pop("seed_init")}
+    synth = _json_tree(SyntheticSpec())
+    del synth["start_ms"]  # fixed by the generator, not configurable
     return {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "data": {"prices_dir": "prices", "base_period_minutes": 1},
-        "specs": [
-            {"period_minutes": d, "lag": t, "window_rows": None} for d in (1, 5) for t in (0, 1, 2)
-        ],
-        "window_minutes": 1440,
-        "window_ends": "daily",
-        "states": 4,
-        "uncorrected_p": 0.01,
-        "rwr": {"restart_keep": 0.98, "steps": 3},
-        "model": {"per_graph_dims": [25, 10], "shared_dims": [30], "embedding_dim": 15},
-        "training": {
-            "max_epochs": 500,
-            "learning_rate": 0.001,
-            "patience": 20,
-            "min_delta": 1e-6,
-            "validation_fraction": 0.3,
-        },
-        "seeds": {"data": 7, "split": 11, "init": 13},
-        "pca_components": 2,
-        "similarity_pairs": "all",
-        "synth": {
-            "n_assets": 10,
-            "days": 30,
-            "base_price": 100.0,
-            "volatility": 0.001,
-            "asset_prefix": "A",
-            "couplings": [{"leader": "A00", "follower": "A01", "lag": 1, "coupling": 0.8, "noise": 0.5}],
-        },
+        **run,
+        "seeds": seeds,
+        "synth": synth,
     }
 
 
@@ -284,35 +276,15 @@ def stage_graphs(out_dir: Path, config: dict, panel: PricePanel | None = None, t
     }
     _update_report(out_dir, "graphs", payload, config)
     logger.info("built %d graphs over %d dates", len(graphs), len(usable_ends))
-    return graphs, usable_ends, skips, flags, panel
+    return graphs, usable_ends
 
 
-def stage_fuse(out_dir: Path, config: dict, graphs=None, usable_ends=None, panel: PricePanel | None = None):
+def stage_fuse(out_dir: Path, config: dict, graphs=None, usable_ends=None):
     run_config = build_run_config(config)
     if graphs is None:
         graphs = pipeline.load_graph_artifacts(out_dir / "graphs")
         usable_ends = sorted({g.window_end for g in graphs})
-    universe = graphs[0].assets
-    samples = pipeline.samples_from_graphs(graphs, run_config.specs, usable_ends, run_config.rwr)
-    arch = fusion.FusionArchitecture(
-        graph_count=len(run_config.specs),
-        input_dim=len(universe),
-        per_graph_dims=run_config.model.per_graph_dims,
-        shared_dims=run_config.model.shared_dims,
-        embedding_dim=run_config.model.embedding_dim,
-    )
-    model = fusion.FusionModel(arch, seed=run_config.seed_init)
-    report = fusion.train(
-        model,
-        samples,
-        split_seed=run_config.seed_split,
-        max_epochs=run_config.training.max_epochs,
-        learning_rate=run_config.training.learning_rate,
-        patience=run_config.training.patience,
-        min_delta=run_config.training.min_delta,
-        validation_fraction=run_config.training.validation_fraction,
-    )
-    frame = fusion.extract_embeddings(model, samples, universe, usable_ends)
+    model, report, frame = pipeline.fit(run_config, graphs, usable_ends)
     pipeline.write_embeddings_csv(frame, out_dir / "embeddings.csv")
     fusion.save_model(model, out_dir / "model.json")
     payload = {
@@ -328,7 +300,7 @@ def stage_fuse(out_dir: Path, config: dict, graphs=None, usable_ends=None, panel
         "embedding_dim": frame.embedding_dim,
     }
     _update_report(out_dir, "training", payload, config)
-    logger.info("trained fusion model on %d samples; %d embeddings", len(samples), len(frame))
+    logger.info("trained fusion model on %d samples; %d embeddings", report.config["n_samples"], len(frame))
     return frame
 
 
@@ -418,8 +390,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         stage_postprocess(out_dir, config)
     elif args.command == "run-all":
         panel = stage_ingest(out_dir, config, config_dir)
-        graphs, usable_ends, _, _, panel = stage_graphs(out_dir, config, panel=panel, threads=args.threads)
-        frame = stage_fuse(out_dir, config, graphs=graphs, usable_ends=usable_ends, panel=panel)
+        graphs, usable_ends = stage_graphs(out_dir, config, panel=panel, threads=args.threads)
+        frame = stage_fuse(out_dir, config, graphs=graphs, usable_ends=usable_ends)
         stage_postprocess(out_dir, config, frame=frame)
     return EXIT_OK
 

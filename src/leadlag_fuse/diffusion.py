@@ -12,10 +12,8 @@ accumulated visit mass.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +25,6 @@ __all__ = [
     "rwr_accumulate",
     "ppmi",
     "node_features",
-    "write_feature_csv",
 ]
 
 
@@ -118,16 +115,3 @@ def node_features(adjacency: np.ndarray, cfg: RwrConfig, graph_id: str) -> NodeF
     v = rwr_accumulate(adjacency, cfg)
     return NodeFeatureSet(rwr=v, ppmi=ppmi(v), graph_id=graph_id)
 
-
-def write_feature_csv(matrix: np.ndarray, labels: Sequence[str], path: str | Path) -> None:
-    """Debug dump of a square feature matrix with row/column labels."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (len(labels), len(labels)):
-        raise ValueError(f"matrix shape {matrix.shape} does not match {len(labels)} labels")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", *labels])
-        for label, row in zip(labels, matrix):
-            writer.writerow([label, *(repr(float(v)) for v in row)])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "FusionArchitecture",
     "TrainingSample",
+    "TrainingSettings",
     "TrainReport",
     "TrainingDiverged",
     "FusionModel",
@@ -98,6 +99,17 @@ class TrainingSample:
             raise ValueError(f"rows must be 2-D (graphs, features), got shape {rows.shape}")
         if np.any(rows < 0.0):
             raise ValueError("feature rows must be nonnegative")
+
+
+@dataclass(frozen=True)
+class TrainingSettings:
+    """Optimizer, stopping and validation-split settings of ``train``."""
+
+    max_epochs: int = 500
+    learning_rate: float = 0.001
+    patience: int | None = 20
+    min_delta: float = 1e-6
+    validation_fraction: float = 0.3
 
 
 @dataclass
@@ -259,21 +271,18 @@ def train(
     model: FusionModel,
     samples: Sequence[TrainingSample],
     split_seed: int,
-    max_epochs: int = 500,
-    learning_rate: float = 0.001,
-    patience: int | None = 20,
-    min_delta: float = 1e-6,
-    validation_fraction: float = 0.3,
+    settings: TrainingSettings,
 ) -> TrainReport:
     """Full-batch Adam training with a seeded split and early stopping.
 
     Samples are shuffled with ``split_seed`` and split train/validation by
-    ``validation_fraction`` (default 70/30). Training stops at ``max_epochs``
-    or once the validation loss has not improved by at least ``min_delta``
-    for ``patience`` consecutive epochs; the parameters of the best
-    validation epoch are restored. ``validation_fraction=0`` trains on all
-    samples with no early stopping (for capacity checks).
+    ``settings.validation_fraction`` (default 70/30). Training stops at
+    ``max_epochs`` or once the validation loss has not improved by at least
+    ``min_delta`` for ``patience`` consecutive epochs; the parameters of the
+    best validation epoch are restored. ``validation_fraction=0`` trains on
+    all samples with no early stopping (for capacity checks).
     """
+    validation_fraction = settings.validation_fraction
     m = len(samples)
     if not 0.0 <= validation_fraction < 1.0:
         raise ValueError(f"validation_fraction must lie in [0, 1), got {validation_fraction}")
@@ -293,16 +302,6 @@ def train(
         _stack_inputs([samples[i] for i in val_idx], model.architecture.graph_count) if n_val else None
     )
 
-    config = {
-        "max_epochs": max_epochs,
-        "learning_rate": learning_rate,
-        "patience": patience,
-        "min_delta": min_delta,
-        "validation_fraction": validation_fraction,
-        "n_samples": m,
-        "n_train": int(m - n_val),
-        "n_val": int(n_val),
-    }
     report = TrainReport(
         train_losses=[],
         val_losses=[],
@@ -311,15 +310,15 @@ def train(
         best_epoch=0,
         best_val_loss=None,
         split_seed=split_seed,
-        config=config,
+        config={**asdict(settings), "n_samples": m, "n_train": int(m - n_val), "n_val": int(n_val)},
     )
 
     params = model.parameters()
-    optimizer = adam_init(params, learning_rate=learning_rate)
+    optimizer = adam_init(params, learning_rate=settings.learning_rate)
     best_snapshot = None
     best_val = np.inf
     stall = 0
-    for epoch in range(1, max_epochs + 1):
+    for epoch in range(1, settings.max_epochs + 1):
         loss, grads = model.loss_and_gradients(train_inputs)
         if not np.isfinite(loss):
             report.stop_epoch = epoch
@@ -335,14 +334,14 @@ def train(
             report.stop_reason = "non_finite_loss"
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}", report)
         report.val_losses.append(val_loss)
-        if best_val - val_loss >= min_delta:
+        if best_val - val_loss >= settings.min_delta:
             best_val = val_loss
             report.best_epoch = epoch
             best_snapshot = model.snapshot()
             stall = 0
         else:
             stall += 1
-            if patience is not None and stall >= patience:
+            if settings.patience is not None and stall >= settings.patience:
                 report.stop_reason = "early_stop"
                 break
     if val_inputs is not None and best_snapshot is not None:

@@ -33,7 +33,7 @@ __all__ = [
     "lagged_mi_matrix",
     "validate_links",
     "count_validated_links",
-    "validate_and_symmetrize",
+    "symmetrize",
     "binarize",
     "build_graph",
     "constant_columns",
@@ -145,11 +145,6 @@ def count_validated_links(validated: np.ndarray) -> int:
 
 def symmetrize(validated: np.ndarray) -> np.ndarray:
     return (validated + validated.T) / 2.0
-
-
-def validate_and_symmetrize(mi_matrix: np.ndarray, cfg: MiTestConfig) -> np.ndarray:
-    """Significance-filter a raw MI matrix and average it with its transpose."""
-    return symmetrize(validate_links(mi_matrix, cfg))
 
 
 def binarize(weights: np.ndarray) -> np.ndarray:

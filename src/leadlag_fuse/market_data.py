@@ -26,7 +26,6 @@ __all__ = [
     "log_returns",
     "write_panel_csv",
     "load_panel_csv",
-    "write_returns_csv",
 ]
 
 
@@ -251,12 +250,3 @@ def load_panel_csv(path: str | Path) -> PricePanel:
         period_minutes=step // MS_PER_MINUTE,
     )
 
-
-def write_returns_csv(returns: ReturnMatrix, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", *returns.assets])
-        for i, t in enumerate(returns.timestamps):
-            writer.writerow([int(t), *(_fmt(v) for v in returns.returns[i])])

@@ -8,9 +8,7 @@ defined as 0. Forward passes record every intermediate activation so that
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +28,6 @@ __all__ = [
     "adam_step",
     "mlp_to_dict",
     "mlp_from_dict",
-    "save_mlp",
-    "load_mlp",
 ]
 
 ACTIVATIONS = ("identity", "relu")
@@ -246,15 +242,3 @@ def mlp_from_dict(payload: dict) -> Mlp:
         layers.append(DenseLayer(weight=weight, bias=bias, activation=act))
     return Mlp(layers=layers)
 
-
-def save_mlp(mlp: Mlp, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(mlp_to_dict(mlp), fh)
-        fh.write("\n")
-
-
-def load_mlp(path: str | Path) -> Mlp:
-    with open(path, encoding="utf-8") as fh:
-        return mlp_from_dict(json.load(fh))

@@ -2,9 +2,11 @@
 
 For every selected window-end date and every (period, lag) spec, a lookback
 window of return rows is sliced, a validated lead-lag graph is built, and the
-graph's RWR/PPMI features become one training row per asset. A single fusion
-model is trained over all (asset, date) samples; embeddings, pairwise cosine
-similarity series and a 2-D PCA projection are derived from it.
+graph's RWR/PPMI features become one training row per asset. ``fit`` trains
+the single fusion model over all (asset, date) samples and embeds them; the
+library (``run_dynamic_fusion``) and the CLI ``fuse`` stage both train through
+it. Pairwise cosine similarity series and a 2-D PCA projection are derived
+from the embeddings.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 import csv
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -21,9 +22,16 @@ import numpy as np
 
 from . import fusion, leadlag
 from .diffusion import RwrConfig, node_features
-from .fusion import EmbeddingFrame, FusionArchitecture, FusionModel, TrainingSample, TrainReport
+from .fusion import (
+    EmbeddingFrame,
+    FusionArchitecture,
+    FusionModel,
+    TrainingSample,
+    TrainingSettings,
+    TrainReport,
+)
 from .leadlag import LagSpec, LeadLagGraph
-from .market_data import PricePanel, ReturnMatrix, log_returns, resample
+from .market_data import PricePanel, ReturnMatrix, _fmt, log_returns, resample
 
 logger = logging.getLogger(__name__)
 
@@ -38,6 +46,7 @@ __all__ = [
     "select_window_ends",
     "build_graphs",
     "samples_from_graphs",
+    "fit",
     "run_dynamic_fusion",
     "cosine_similarity",
     "similarity_series",
@@ -58,15 +67,6 @@ MS_PER_DAY = 86_400_000
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad value, unknown key, inconsistent specs)."""
-
-
-@dataclass(frozen=True)
-class TrainingSettings:
-    max_epochs: int = 500
-    learning_rate: float = 0.001
-    patience: int | None = 20
-    min_delta: float = 1e-6
-    validation_fraction: float = 0.3
 
 
 @dataclass(frozen=True)
@@ -290,6 +290,19 @@ def samples_from_graphs(
     return samples
 
 
+def fit(
+    config: RunConfig, graphs: Sequence[LeadLagGraph], usable_ends: Sequence[int]
+) -> tuple[FusionModel, TrainReport, EmbeddingFrame]:
+    """Train one fusion model over every (asset, date) sample and embed every sample."""
+    samples = samples_from_graphs(graphs, config.specs, usable_ends, config.rwr)
+    universe = graphs[0].assets
+    arch = FusionArchitecture(graph_count=len(config.specs), input_dim=len(universe), **asdict(config.model))
+    model = FusionModel(arch, seed=config.seed_init)
+    report = fusion.train(model, samples, config.seed_split, config.training)
+    frame = fusion.extract_embeddings(model, samples, universe, usable_ends)
+    return model, report, frame
+
+
 def run_dynamic_fusion(
     config: RunConfig,
     panel: PricePanel,
@@ -298,27 +311,7 @@ def run_dynamic_fusion(
 ) -> RunResult:
     """The full dynamic pipeline: graphs for every date, one fusion training, embeddings."""
     graphs, usable_ends, skips, flags = build_graphs(config, panel, threads=threads)
-    samples = samples_from_graphs(graphs, config.specs, usable_ends, config.rwr)
-
-    arch = FusionArchitecture(
-        graph_count=len(config.specs),
-        input_dim=panel.n_assets,
-        per_graph_dims=config.model.per_graph_dims,
-        shared_dims=config.model.shared_dims,
-        embedding_dim=config.model.embedding_dim,
-    )
-    model = FusionModel(arch, seed=config.seed_init)
-    report = fusion.train(
-        model,
-        samples,
-        split_seed=config.seed_split,
-        max_epochs=config.training.max_epochs,
-        learning_rate=config.training.learning_rate,
-        patience=config.training.patience,
-        min_delta=config.training.min_delta,
-        validation_fraction=config.training.validation_fraction,
-    )
-    frame = fusion.extract_embeddings(model, samples, panel.assets, usable_ends)
+    model, report, frame = fit(config, graphs, usable_ends)
     result = RunResult(
         frame=frame, graphs=graphs, train_report=report, usable_ends=usable_ends, skips=skips, flags=flags
     )
@@ -471,14 +464,6 @@ def pca_project(frame: EmbeddingFrame, components: int = 2) -> PcaProjection:
 
 
 # --- artifacts -------------------------------------------------------------------
-
-
-def _iso_utc(ms: int) -> str:
-    return datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def link_count_summary(graphs: Sequence[LeadLagGraph]) -> dict:

@@ -17,7 +17,7 @@ from oracles import central_difference_grads, max_relative_error, mi_bits_oracle
 from leadlag_fuse import neural
 from leadlag_fuse.cli import EXIT_OK, main
 from leadlag_fuse.diffusion import RwrConfig, ppmi, rwr_accumulate, rwr_steps
-from leadlag_fuse.fusion import FusionArchitecture, FusionModel, TrainingSample, train
+from leadlag_fuse.fusion import FusionArchitecture, FusionModel, TrainingSample, TrainingSettings, train
 from leadlag_fuse.infotheory import (
     DiscreteSeries,
     MiTestConfig,
@@ -290,7 +290,7 @@ def test_crit_10_overfit_capacity():
     arch = FusionArchitecture(graph_count=2, input_dim=6, per_graph_dims=(25, 10), shared_dims=(30,), embedding_dim=15)
     model = FusionModel(arch, seed=3)
     samples = [TrainingSample(i, 0, rng.random((2, 6))) for i in range(5)]
-    report = train(model, samples, split_seed=1, max_epochs=2000, patience=None, validation_fraction=0.0)
+    report = train(model, samples, 1, TrainingSettings(max_epochs=2000, patience=None, validation_fraction=0.0))
     best = min(report.train_losses)
     first_epoch = next((i + 1 for i, l in enumerate(report.train_losses) if l < 1e-3), None)
     ok = best < 1e-3

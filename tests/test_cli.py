@@ -9,11 +9,14 @@ from leadlag_fuse.cli import (
     EXIT_MISSING_INPUT,
     EXIT_OK,
     apply_overrides,
+    build_run_config,
+    build_synth_spec,
     default_config,
     load_config,
     main,
 )
-from leadlag_fuse.pipeline import ConfigError
+from leadlag_fuse.market_data import load_prices
+from leadlag_fuse.pipeline import ConfigError, RunConfig, run_dynamic_fusion
 from leadlag_fuse.synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic, synthetic_returns
 
 
@@ -94,6 +97,10 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides(default_config(), ["training.max_epochs"])
 
+    def test_defaults_match_library_defaults(self):
+        assert build_run_config(default_config()) == RunConfig()
+        assert build_synth_spec(default_config()) == SyntheticSpec()
+
 
 class TestCliDispatch:
     def test_run_all_produces_layout(self, workspace):
@@ -130,6 +137,16 @@ class TestCliDispatch:
         full = root / "full"
         for name in ("embeddings.csv", "pca.csv"):
             assert (staged / name).read_bytes() == (full / name).read_bytes()
+
+    def test_library_run_equals_run_all(self, workspace):
+        root, config_path = workspace
+        cli_out, lib_out = root / "equiv_cli", root / "equiv_lib"
+        assert main(["--config", str(config_path), "--out", str(cli_out), "--quiet", "run-all"]) == EXIT_OK
+        config = build_run_config(load_config(config_path))
+        run_dynamic_fusion(config, load_prices(sorted((root / "prices").glob("*.csv"))), lib_out)
+        for pattern in ("graphs/*/*", "embeddings.csv", "model.json"):
+            written = tree_bytes(lib_out, pattern)
+            assert written and written == tree_bytes(cli_out, pattern)
 
     def test_overrides_round_trip_into_report(self, workspace):
         root, config_path = workspace

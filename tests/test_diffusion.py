@@ -10,7 +10,6 @@ from leadlag_fuse.diffusion import (
     row_normalize,
     rwr_accumulate,
     rwr_steps,
-    write_feature_csv,
 )
 
 RING4 = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
@@ -127,10 +126,3 @@ class TestNodeFeatures:
         assert np.all(features.ppmi >= 0.0)
         with pytest.raises(ValueError, match="sum"):
             NodeFeatureSet(rwr=np.array([[1.0, 0.0], [5.0, 1.0]]), ppmi=np.zeros((2, 2)), graph_id="bad")
-
-    def test_feature_csv_dump(self, tmp_path):
-        features = node_features(RING4, RwrConfig(0.8, 3), "ring")
-        write_feature_csv(features.rwr, ["a", "b", "c", "d"], tmp_path / "v.csv")
-        lines = (tmp_path / "v.csv").read_text().splitlines()
-        assert lines[0] == "node,a,b,c,d"
-        assert len(lines) == 5

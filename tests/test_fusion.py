@@ -9,6 +9,7 @@ from leadlag_fuse.fusion import (
     FusionModel,
     TrainingDiverged,
     TrainingSample,
+    TrainingSettings,
     decode,
     encode,
     extract_embeddings,
@@ -187,7 +188,7 @@ class TestTrain:
         rng = np.random.default_rng(11)
         model = FusionModel(TINY, seed=11)
         samples = make_samples(rng, 12)
-        report = train(model, samples, split_seed=1, max_epochs=50, patience=None)
+        report = train(model, samples, 1, TrainingSettings(max_epochs=50, patience=None))
         assert np.isfinite(report.train_losses).all()
         assert report.train_losses[-1] < report.train_losses[0]
 
@@ -196,7 +197,7 @@ class TestTrain:
             rng = np.random.default_rng(12)
             model = FusionModel(TINY, seed=12)
             samples = make_samples(rng, 12)
-            report = train(model, samples, split_seed=2, max_epochs=40)
+            report = train(model, samples, 2, TrainingSettings(max_epochs=40))
             frame = extract_embeddings(model, samples, [f"A{i}" for i in range(12)], [0])
             return report, frame
 
@@ -212,7 +213,9 @@ class TestTrain:
         arch = FusionArchitecture(graph_count=2, input_dim=6, per_graph_dims=(25, 10), shared_dims=(30,), embedding_dim=15)
         model = FusionModel(arch, seed=3)
         samples = make_samples(rng, 5, dim=6)
-        report = train(model, samples, split_seed=1, max_epochs=2000, patience=None, validation_fraction=0.0)
+        report = train(
+            model, samples, 1, TrainingSettings(max_epochs=2000, patience=None, validation_fraction=0.0)
+        )
         assert min(report.train_losses) < 1e-3
         assert report.val_losses == []
 
@@ -221,7 +224,7 @@ class TestTrain:
         base = rng.random((2, 5))
         model = FusionModel(TINY, seed=13)
         samples = [TrainingSample(i, 0, base.copy()) for i in range(20)]
-        report = train(model, samples, split_seed=3, max_epochs=500, patience=10, learning_rate=0.01)
+        report = train(model, samples, 3, TrainingSettings(max_epochs=500, patience=10, learning_rate=0.01))
         assert report.stop_reason == "early_stop"
         assert report.stop_epoch < 500
         assert report.best_epoch <= report.stop_epoch
@@ -233,7 +236,7 @@ class TestTrain:
         model = FusionModel(TINY, seed=14)
         samples = make_samples(np.random.default_rng(14), 5)
         with pytest.raises(ValueError, match="10 samples"):
-            train(model, samples, split_seed=1)
+            train(model, samples, 1, TrainingSettings())
 
     def test_non_finite_loss_aborts_with_report(self):
         model = FusionModel(TINY, seed=15)
@@ -241,7 +244,7 @@ class TestTrain:
         samples[0].rows[0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDiverged) as excinfo:
-                train(model, samples, split_seed=1, max_epochs=10)
+                train(model, samples, 1, TrainingSettings(max_epochs=10))
         assert excinfo.value.report.stop_reason == "non_finite_loss"
 
 

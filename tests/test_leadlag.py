@@ -12,7 +12,7 @@ from leadlag_fuse.leadlag import (
     lagged_mi_matrix,
     load_graph,
     shift_split,
-    validate_and_symmetrize,
+    symmetrize,
     validate_links,
     write_graph,
 )
@@ -106,25 +106,25 @@ class TestValidation:
         threshold = significance_threshold(cfg)
         assert threshold < 0.9
         c = np.array([[0.5, 0.9], [0.0, 0.5]])
-        weights = validate_and_symmetrize(c, cfg)
+        weights = symmetrize(validate_links(c, cfg))
         assert np.array_equal(weights, np.array([[0.0, 0.45], [0.45, 0.0]]))
 
     def test_all_below_threshold_gives_empty_graph(self):
         cfg = MiTestConfig(4, 4, 100, 0.01, 1)
         c = np.full((3, 3), 1e-6)
-        assert np.all(validate_and_symmetrize(c, cfg) == 0.0)
+        assert np.all(symmetrize(validate_links(c, cfg)) == 0.0)
 
     def test_symmetric_significant_matrix_is_fixed_point(self):
         cfg = MiTestConfig(4, 4, 1000, 0.01, 1)
         c = np.array([[0.0, 0.8, 0.6], [0.8, 0.0, 0.7], [0.6, 0.7, 0.0]])
-        assert np.array_equal(validate_and_symmetrize(c, cfg), c)
+        assert np.array_equal(symmetrize(validate_links(c, cfg)), c)
 
     def test_output_bitwise_symmetric(self):
         rng = np.random.default_rng(14)
         cfg = MiTestConfig(4, 4, 1000, 0.01, 1)
         for _ in range(10):
             c = rng.random((6, 6))
-            weights = validate_and_symmetrize(c, cfg)
+            weights = symmetrize(validate_links(c, cfg))
             assert np.array_equal(weights, weights.T)
 
     def test_directed_count(self):

@@ -12,7 +12,6 @@ from leadlag_fuse.market_data import (
     log_returns,
     resample,
     write_panel_csv,
-    write_returns_csv,
 )
 
 T0 = 1_609_459_200_000  # 2021-01-01T00:00:00Z
@@ -165,12 +164,6 @@ class TestCsvRoundTrips:
         assert loaded.period_minutes == panel.period_minutes
         assert np.array_equal(loaded.prices, panel.prices)
         assert np.array_equal(loaded.timestamps, panel.timestamps)
-
-    def test_returns_csv_header(self, tmp_path):
-        panel = make_panel(np.full((4, 2), 10.0))
-        write_returns_csv(log_returns(panel), tmp_path / "returns.csv")
-        header = (tmp_path / "returns.csv").read_text().splitlines()[0]
-        assert header == "timestamp,A0,A1"
 
 
 class TestPanelInvariants:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,10 @@ from leadlag_fuse.neural import (
     backward,
     forward,
     init_mlp,
-    load_mlp,
     mlp_from_dict,
     mlp_to_dict,
     mse,
     mse_grad,
-    save_mlp,
 )
 
 
@@ -166,10 +166,9 @@ class TestInit:
 
 
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
+    def test_round_trip_bitwise(self):
         mlp = init_mlp([5, 4, 2], ["relu", "identity"], 123)
-        save_mlp(mlp, tmp_path / "model.json")
-        loaded = load_mlp(tmp_path / "model.json")
+        loaded = mlp_from_dict(json.loads(json.dumps(mlp_to_dict(mlp))))
         assert loaded.dims == mlp.dims
         for la, lb in zip(mlp.layers, loaded.layers):
             assert la.activation == lb.activation
