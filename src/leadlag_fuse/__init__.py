@@ -5,7 +5,6 @@ from .fusion import (
     EmbeddingFrame,
     FusionArchitecture,
     FusionModel,
-    TrainingSample,
     TrainingSettings,
     TrainReport,
     extract_embeddings,
@@ -51,7 +50,6 @@ __all__ = [
     "RwrConfig",
     "SyntheticSpec",
     "TrainReport",
-    "TrainingSample",
     "TrainingSettings",
     "build_graph",
     "cosine_similarity",

@@ -26,10 +26,10 @@ from typing import Any, Sequence
 
 from . import fusion, pipeline
 from .diffusion import RwrConfig
-from .fusion import TrainingSettings
+from .fusion import ModelSettings, TrainingSettings
 from .leadlag import LagSpec
 from .market_data import PricePanel, load_panel_csv, load_prices, write_panel_csv
-from .pipeline import ConfigError, ModelSettings, RunConfig
+from .pipeline import ConfigError, RunConfig
 from .synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic
 
 logger = logging.getLogger(__name__)
@@ -213,9 +213,12 @@ def _update_report(out_dir: Path, section: str, payload: dict, config: dict) -> 
     report["seeds"] = config["seeds"]
     report[section] = payload
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(report_path, "w", encoding="utf-8") as fh:
+    # write beside the report, then rename: a crash never leaves a truncated report
+    partial = report_path.with_name(report_path.name + ".partial")
+    with open(partial, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(partial, report_path)
 
 
 # --- stages -------------------------------------------------------------------

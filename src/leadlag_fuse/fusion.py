@@ -7,6 +7,9 @@ split into per-graph chunks, and per-graph decoders reconstruct the original
 rows. Training minimizes the mean of per-graph reconstruction MSEs with
 full-batch Adam, an optional validation split, and patience-based early
 stopping that restores the best validation weights.
+
+The training data is one (rows, graph_count, input_dim) float array; in the
+pipeline row ``d * n + a`` is asset ``a`` of ``n`` at usable date ``d``.
 """
 
 from __future__ import annotations
@@ -20,21 +23,18 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .neural import Mlp, adam_init, adam_step, backward, forward, mse, mse_grad
+from .neural import ForwardRecord, Mlp, adam_init, adam_step, backward, forward, mse, mse_grad
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "ModelSettings",
     "FusionArchitecture",
-    "TrainingSample",
     "TrainingSettings",
     "TrainReport",
     "TrainingDiverged",
     "FusionModel",
     "EmbeddingFrame",
-    "encode",
-    "decode",
-    "reconstruction_loss",
     "train",
     "extract_embeddings",
     "save_model",
@@ -45,14 +45,23 @@ MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
+class ModelSettings:
+    """Hidden layer widths of the autoencoder; the run config's ``model`` section."""
+
+    per_graph_dims: tuple[int, ...] = (25, 10)
+    shared_dims: tuple[int, ...] = (30,)
+    embedding_dim: int = 15
+
+
+@dataclass(frozen=True)
 class FusionArchitecture:
     """Layer plan: per-graph encoders, shared bottleneck, mirrored decoders."""
 
     graph_count: int
     input_dim: int
-    per_graph_dims: tuple[int, ...] = (25, 10)
-    shared_dims: tuple[int, ...] = (30,)
-    embedding_dim: int = 15
+    per_graph_dims: tuple[int, ...] = ModelSettings.per_graph_dims
+    shared_dims: tuple[int, ...] = ModelSettings.shared_dims
+    embedding_dim: int = ModelSettings.embedding_dim
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "per_graph_dims", tuple(self.per_graph_dims))
@@ -82,23 +91,6 @@ class FusionArchitecture:
 
     def per_graph_decoder_dims(self) -> tuple[int, ...]:
         return tuple(reversed(self.per_graph_encoder_dims()))
-
-
-@dataclass
-class TrainingSample:
-    """Per-graph feature rows for one (asset, date) pair."""
-
-    asset_index: int
-    date_index: int
-    rows: np.ndarray  # (graph_count, input_dim), nonnegative
-
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=float)
-        object.__setattr__(self, "rows", rows)
-        if rows.ndim != 2:
-            raise ValueError(f"rows must be 2-D (graphs, features), got shape {rows.shape}")
-        if np.any(rows < 0.0):
-            raise ValueError("feature rows must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -133,7 +125,11 @@ class TrainingDiverged(RuntimeError):
 
 
 class FusionModel:
-    """The assembled autoencoder; parameters live in its component MLPs."""
+    """The assembled autoencoder; parameters live in its component MLPs.
+
+    Every batch method takes samples as one (batch, graph_count, input_dim)
+    array: row ``i`` holds one node's feature row in each graph.
+    """
 
     def __init__(self, architecture: FusionArchitecture, seed: int = 0):
         self.architecture = architecture
@@ -168,55 +164,57 @@ class FusionModel:
 
     # --- forward paths ------------------------------------------------------
 
-    def _check_inputs(self, inputs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    def _check_inputs(self, samples: np.ndarray) -> np.ndarray:
         arch = self.architecture
-        if len(inputs) != arch.graph_count:
-            raise ValueError(f"expected {arch.graph_count} input blocks, got {len(inputs)}")
-        blocks = [np.asarray(x, dtype=float) for x in inputs]
-        for i, x in enumerate(blocks):
-            if x.ndim != 2 or x.shape[1] != arch.input_dim:
-                raise ValueError(f"block {i} has shape {x.shape}, expected (batch, {arch.input_dim})")
-        return blocks
+        x = np.asarray(samples, dtype=float)
+        if x.ndim != 3 or x.shape[1:] != (arch.graph_count, arch.input_dim):
+            raise ValueError(
+                f"samples have shape {x.shape}, expected (batch, {arch.graph_count}, {arch.input_dim})"
+            )
+        return x
 
-    def encode_batch(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        blocks = self._check_inputs(inputs)
-        encoded = [forward(enc, x).output for enc, x in zip(self.graph_encoders, blocks)]
-        return forward(self.shared_encoder, np.concatenate(encoded, axis=1)).output
+    def _encode(self, x: np.ndarray, records: list[ForwardRecord] | None = None) -> np.ndarray:
+        """Fused embeddings z of a checked sample array."""
+        encoded = [_output(enc, x[:, g, :], records) for g, enc in enumerate(self.graph_encoders)]
+        return _output(self.shared_encoder, np.concatenate(encoded, axis=1), records)
 
-    def decode_batch(self, z: np.ndarray) -> list[np.ndarray]:
+    def _decode(self, z: np.ndarray, records: list[ForwardRecord] | None = None) -> list[np.ndarray]:
+        """Per-graph reconstructions of embeddings z."""
+        expanded = _output(self.shared_decoder, z, records)
+        chunks = np.split(expanded, self.architecture.graph_count, axis=1)
+        return [_output(dec, c, records) for dec, c in zip(self.graph_decoders, chunks)]
+
+    def _loss(self, recons: Sequence[np.ndarray], x: np.ndarray) -> float:
+        """Mean over graphs of the reconstruction MSE across the whole batch."""
+        return sum(mse(r, x[:, g, :]) for g, r in enumerate(recons)) / len(recons)
+
+    def encode_batch(self, samples: np.ndarray) -> np.ndarray:
+        """Fused embeddings (batch, embedding_dim)."""
+        return self._encode(self._check_inputs(samples))
+
+    def decode_batch(self, z: np.ndarray) -> np.ndarray:
+        """Reconstructions (batch, graph_count, input_dim) of embeddings z."""
         z = np.asarray(z, dtype=float)
         if z.ndim != 2 or z.shape[1] != self.architecture.embedding_dim:
             raise ValueError(f"z has shape {z.shape}, expected (batch, {self.architecture.embedding_dim})")
-        expanded = forward(self.shared_decoder, z).output
-        chunks = np.split(expanded, self.architecture.graph_count, axis=1)
-        return [forward(dec, c).output for dec, c in zip(self.graph_decoders, chunks)]
+        return np.stack(self._decode(z), axis=1)
 
-    def reconstruction_loss(self, inputs: Sequence[np.ndarray]) -> float:
-        blocks = self._check_inputs(inputs)
-        recons = self.decode_batch(self.encode_batch(blocks))
-        n = self.architecture.graph_count
-        return sum(mse(r, x) for r, x in zip(recons, blocks)) / n
+    def reconstruction_loss(self, samples: np.ndarray) -> float:
+        x = self._check_inputs(samples)
+        return self._loss(self._decode(self._encode(x)), x)
 
-    def loss_and_gradients(self, inputs: Sequence[np.ndarray]) -> tuple[float, list[np.ndarray]]:
+    def loss_and_gradients(self, samples: np.ndarray) -> tuple[float, list[np.ndarray]]:
         """Reconstruction loss and its gradient w.r.t. every parameter."""
-        blocks = self._check_inputs(inputs)
-        arch = self.architecture
-        n = arch.graph_count
-
-        enc_recs = [forward(enc, x) for enc, x in zip(self.graph_encoders, blocks)]
-        concat = np.concatenate([rec.output for rec in enc_recs], axis=1)
-        shared_enc_rec = forward(self.shared_encoder, concat)
-        z = shared_enc_rec.output
-        shared_dec_rec = forward(self.shared_decoder, z)
-        chunks = np.split(shared_dec_rec.output, n, axis=1)
-        dec_recs = [forward(dec, c) for dec, c in zip(self.graph_decoders, chunks)]
-
-        loss = sum(mse(rec.output, x) for rec, x in zip(dec_recs, blocks)) / n
+        x = self._check_inputs(samples)
+        n = self.architecture.graph_count
+        records: list[ForwardRecord] = []
+        loss = self._loss(self._decode(self._encode(x, records), records), x)
+        enc_recs, (shared_enc_rec, shared_dec_rec), dec_recs = records[:n], records[n : n + 2], records[n + 2 :]
 
         chunk_grads = []
         dec_param_grads = []
-        for rec, x, dec in zip(dec_recs, blocks, self.graph_decoders):
-            g_out = mse_grad(rec.output, x) / n
+        for i, (rec, dec) in enumerate(zip(dec_recs, self.graph_decoders)):
+            g_out = mse_grad(rec.output, x[:, i, :]) / n
             pg, g_in = backward(dec, rec, g_out)
             dec_param_grads.append(pg)
             chunk_grads.append(g_in)
@@ -227,69 +225,57 @@ class FusionModel:
             backward(enc, rec, g)[0]
             for enc, rec, g in zip(self.graph_encoders, enc_recs, per_graph_in_grads)
         ]
-
-        ordered: list[np.ndarray] = []
-        for pg in enc_param_grads:
-            ordered.extend(g for pair in pg for g in pair)
-        ordered.extend(g for pair in shared_enc_pg for g in pair)
-        ordered.extend(g for pair in shared_dec_pg for g in pair)
-        for pg in dec_param_grads:
-            ordered.extend(g for pair in pg for g in pair)
-        return loss, ordered
+        # the order of parameters(): encoders, shared encoder, shared decoder, decoders
+        per_mlp = [*enc_param_grads, shared_enc_pg, shared_dec_pg, *dec_param_grads]
+        return loss, [g for pg in per_mlp for pair in pg for g in pair]
 
 
-def _stack_inputs(samples: Sequence[TrainingSample], graph_count: int) -> list[np.ndarray]:
-    if not samples:
+def _output(mlp: Mlp, x: np.ndarray, records: list[ForwardRecord] | None) -> np.ndarray:
+    """``forward(mlp, x).output``, keeping the record in ``records`` when ``backward`` needs it.
+
+    Gradient-free passes drop each record at once; holding them all made the
+    decoder pass touch fresh memory on every call and run ~1.5x slower.
+    """
+    record = forward(mlp, x)
+    if records is not None:
+        records.append(record)
+    return record.output
+
+
+def _check_samples(model: FusionModel, samples: np.ndarray) -> np.ndarray:
+    """The sample array where it enters training or embedding: shaped, nonempty, nonnegative."""
+    x = model._check_inputs(samples)
+    if x.shape[0] == 0:
         raise ValueError("need at least one sample")
-    rows = np.stack([s.rows for s in samples])  # (batch, graphs, features)
-    if rows.shape[1] != graph_count:
-        raise ValueError(f"samples carry {rows.shape[1]} graphs, model expects {graph_count}")
-    return [rows[:, l, :] for l in range(graph_count)]
-
-
-def encode(model: FusionModel, sample: TrainingSample) -> np.ndarray:
-    """Fused embedding of one sample."""
-    blocks = _stack_inputs([sample], model.architecture.graph_count)
-    return model.encode_batch(blocks)[0]
-
-
-def decode(model: FusionModel, z: np.ndarray) -> np.ndarray:
-    """Per-graph reconstructions (graph_count, input_dim) of one embedding."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ValueError(f"expected a 1-D embedding, got shape {z.shape}")
-    recons = model.decode_batch(z[np.newaxis, :])
-    return np.stack([r[0] for r in recons])
-
-
-def reconstruction_loss(model: FusionModel, samples: Sequence[TrainingSample]) -> float:
-    """Mean over graphs of the reconstruction MSE across the whole batch."""
-    return model.reconstruction_loss(_stack_inputs(samples, model.architecture.graph_count))
+    if np.any(x < 0.0):
+        raise ValueError("feature rows must be nonnegative")
+    return x
 
 
 def train(
     model: FusionModel,
-    samples: Sequence[TrainingSample],
+    samples: np.ndarray,
     split_seed: int,
     settings: TrainingSettings,
 ) -> TrainReport:
     """Full-batch Adam training with a seeded split and early stopping.
 
-    Samples are shuffled with ``split_seed`` and split train/validation by
-    ``settings.validation_fraction`` (default 70/30). Training stops at
-    ``max_epochs`` or once the validation loss has not improved by at least
-    ``min_delta`` for ``patience`` consecutive epochs; the parameters of the
-    best validation epoch are restored. ``validation_fraction=0`` trains on
-    all samples with no early stopping (for capacity checks).
+    ``samples`` is one (rows, graph_count, input_dim) array of nonnegative
+    feature rows. Rows are shuffled with ``split_seed`` and split
+    train/validation by ``settings.validation_fraction`` (default 70/30).
+    Training stops at ``max_epochs`` or once the validation loss has not
+    improved by at least ``min_delta`` for ``patience`` consecutive epochs;
+    the parameters of the best validation epoch are restored.
+    ``validation_fraction=0`` trains on all samples with no early stopping
+    (for capacity checks).
     """
+    x = _check_samples(model, samples)
     validation_fraction = settings.validation_fraction
-    m = len(samples)
+    m = x.shape[0]
     if not 0.0 <= validation_fraction < 1.0:
         raise ValueError(f"validation_fraction must lie in [0, 1), got {validation_fraction}")
     if validation_fraction > 0.0 and m < 10:
         raise ValueError(f"need at least 10 samples for a validation split, got {m}")
-    if m < 1:
-        raise ValueError("need at least one sample")
 
     rng = np.random.default_rng(split_seed)
     perm = rng.permutation(m)
@@ -297,10 +283,8 @@ def train(
     if validation_fraction > 0.0:
         n_val = min(max(n_val, 1), m - 1)
     train_idx, val_idx = perm[: m - n_val], perm[m - n_val :]
-    train_inputs = _stack_inputs([samples[i] for i in train_idx], model.architecture.graph_count)
-    val_inputs = (
-        _stack_inputs([samples[i] for i in val_idx], model.architecture.graph_count) if n_val else None
-    )
+    train_inputs = x[train_idx]
+    val_inputs = x[val_idx] if n_val else None
 
     report = TrainReport(
         train_losses=[],
@@ -396,17 +380,19 @@ class EmbeddingFrame:
 
 def extract_embeddings(
     model: FusionModel,
-    samples: Sequence[TrainingSample],
+    samples: np.ndarray,
     universe: Sequence[str],
     window_ends: Sequence[int],
 ) -> EmbeddingFrame:
-    """One embedding per sample, keyed by the sample's asset and window end."""
-    blocks = _stack_inputs(samples, model.architecture.graph_count)
-    vectors = model.encode_batch(blocks)
+    """One embedding per sample row; row ``d * len(universe) + a`` is asset ``a`` at date ``d``."""
+    x = _check_samples(model, samples)
+    n = len(universe)
+    if x.shape[0] != len(window_ends) * n:
+        raise ValueError(f"{x.shape[0]} sample rows, expected {len(window_ends)} dates x {n} assets")
     return EmbeddingFrame(
-        asset_ids=tuple(universe[s.asset_index] for s in samples),
-        window_ends=tuple(int(window_ends[s.date_index]) for s in samples),
-        vectors=vectors,
+        asset_ids=tuple(universe) * len(window_ends),
+        window_ends=tuple(t for t in window_ends for _ in range(n)),
+        vectors=model.encode_batch(x),
         universe=tuple(universe),
     )
 

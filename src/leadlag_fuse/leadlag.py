@@ -24,7 +24,7 @@ from .infotheory import (
     discretize_equal_frequency,
     significance_threshold,
 )
-from .market_data import ReturnMatrix
+from .market_data import ReturnMatrix, _fmt
 
 __all__ = [
     "LagSpec",
@@ -122,15 +122,14 @@ def lagged_mi_matrix(returns: ReturnMatrix, lag: int, states: int = 4) -> np.nda
     return np.maximum(mi, 0.0)
 
 
-def validate_links(mi_matrix: np.ndarray, cfg: MiTestConfig) -> np.ndarray:
-    """Zero out entries that fail the significance test, and the diagonal."""
+def validate_links(mi_matrix: np.ndarray, threshold_bits: float) -> np.ndarray:
+    """Zero out entries not above the significance threshold, and the diagonal."""
     c = np.asarray(mi_matrix, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {c.shape}")
     if np.any(c < 0.0):
         raise ValueError("MI matrix entries must be nonnegative")
-    threshold = significance_threshold(cfg)
-    validated = np.where(c > threshold, c, 0.0)
+    validated = np.where(c > threshold_bits, c, 0.0)
     np.fill_diagonal(validated, 0.0)
     return validated
 
@@ -194,8 +193,9 @@ def build_graph(
         uncorrected_p=uncorrected_p,
         num_tests=n * n,
     )
+    threshold = significance_threshold(cfg)
     raw = lagged_mi_matrix(window, spec.lag, states)
-    validated = validate_links(raw, cfg)
+    validated = validate_links(raw, threshold)
     weights = symmetrize(validated)
     return LeadLagGraph(
         spec=spec,
@@ -205,7 +205,7 @@ def build_graph(
         adjacency=binarize(weights),
         validated_link_count=count_validated_links(validated),
         sample_size=cfg.sample_size,
-        threshold_bits=significance_threshold(cfg),
+        threshold_bits=threshold,
     )
 
 
@@ -225,7 +225,7 @@ def write_graph(graph: LeadLagGraph, csv_path: str | Path, json_path: str | Path
             for j in range(i + 1, n):
                 w = graph.weights[i, j]
                 if w > 0.0:
-                    writer.writerow([graph.assets[i], graph.assets[j], repr(float(w))])
+                    writer.writerow([graph.assets[i], graph.assets[j], _fmt(w)])
     sidecar = {
         "spec": {
             "period_minutes": graph.spec.period_minutes,

@@ -2,17 +2,19 @@
 
 For every selected window-end date and every (period, lag) spec, a lookback
 window of return rows is sliced, a validated lead-lag graph is built, and the
-graph's RWR/PPMI features become one training row per asset. ``fit`` trains
-the single fusion model over all (asset, date) samples and embeds them; the
-library (``run_dynamic_fusion``) and the CLI ``fuse`` stage both train through
-it. Pairwise cosine similarity series and a 2-D PCA projection are derived
-from the embeddings.
+graph's RWR/PPMI features become one training row per asset; the rows form
+one (dates * assets, specs, assets) sample array. ``fit`` trains the single
+fusion model over all (asset, date) samples and embeds them; the library
+(``run_dynamic_fusion``) and the CLI ``fuse`` stage both train through it.
+Pairwise cosine similarity series and a 2-D PCA projection are derived from
+the embeddings.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,7 +28,7 @@ from .fusion import (
     EmbeddingFrame,
     FusionArchitecture,
     FusionModel,
-    TrainingSample,
+    ModelSettings,
     TrainingSettings,
     TrainReport,
 )
@@ -67,13 +69,6 @@ MS_PER_DAY = 86_400_000
 
 class ConfigError(ValueError):
     """Invalid run configuration (bad value, unknown key, inconsistent specs)."""
-
-
-@dataclass(frozen=True)
-class ModelSettings:
-    per_graph_dims: tuple[int, ...] = (25, 10)
-    shared_dims: tuple[int, ...] = (30,)
-    embedding_dim: int = 15
 
 
 def _default_specs() -> tuple[LagSpec, ...]:
@@ -268,25 +263,21 @@ def samples_from_graphs(
     specs: Sequence[LagSpec],
     usable_ends: Sequence[int],
     rwr_cfg: RwrConfig,
-) -> list[TrainingSample]:
-    """One training sample per (asset, date): the asset's PPMI row in each graph."""
+) -> np.ndarray:
+    """The (dates * n, specs, n) sample array of ``fusion.train``.
+
+    Row ``d * n + a`` holds asset ``a``'s PPMI row in each spec's graph at
+    ``usable_ends[d]``.
+    """
     by_key = {(g.spec.tag, g.window_end): g for g in graphs}
-    assets = graphs[0].assets
-    n = len(assets)
-    samples: list[TrainingSample] = []
-    for date_index, end in enumerate(usable_ends):
-        ppmi_rows = []
-        for spec in specs:
+    n = len(graphs[0].assets)
+    samples = np.empty((len(usable_ends) * n, len(specs), n))
+    for d, end in enumerate(usable_ends):
+        for k, spec in enumerate(specs):
             graph = by_key.get((spec.tag, end))
             if graph is None:
                 raise ValueError(f"missing graph for spec {spec.tag} at window end {end}")
-            features = node_features(graph.adjacency, rwr_cfg, f"{spec.tag}@{end}")
-            ppmi_rows.append(features.ppmi)
-        stacked = np.stack(ppmi_rows)  # (specs, n, n)
-        for asset_index in range(n):
-            samples.append(
-                TrainingSample(asset_index=asset_index, date_index=date_index, rows=stacked[:, asset_index, :])
-            )
+            samples[d * n : (d + 1) * n, k] = node_features(graph.adjacency, rwr_cfg, f"{spec.tag}@{end}").ppmi
     return samples
 
 
@@ -488,7 +479,10 @@ def link_count_summary(graphs: Sequence[LeadLagGraph]) -> dict:
 
 
 def write_graph_artifacts(graphs: Sequence[LeadLagGraph], graphs_dir: str | Path) -> None:
+    """Replace ``graphs_dir`` with these graphs, so no graph of an earlier run is left."""
     graphs_dir = Path(graphs_dir)
+    if graphs_dir.exists():
+        shutil.rmtree(graphs_dir)
     for g in graphs:
         spec_dir = graphs_dir / g.spec.tag
         leadlag.write_graph(g, spec_dir / f"{g.window_end}.csv", spec_dir / f"{g.window_end}.json")

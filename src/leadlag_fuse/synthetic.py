@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .market_data import MS_PER_MINUTE, PricePanel
+from .market_data import MS_PER_MINUTE, PricePanel, _fmt
 
 __all__ = ["PlantedCoupling", "SyntheticSpec", "synthetic_returns", "synthetic_panel", "generate_synthetic"]
 
@@ -118,6 +118,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str | Path) -> l
             writer = csv.writer(fh)
             writer.writerow(["timestamp", "price"])
             for i, t in enumerate(panel.timestamps):
-                writer.writerow([int(t), repr(float(panel.prices[i, j]))])
+                writer.writerow([int(t), _fmt(panel.prices[i, j])])
         paths.append(path)
     return paths

@@ -17,7 +17,7 @@ from oracles import central_difference_grads, max_relative_error, mi_bits_oracle
 from leadlag_fuse import neural
 from leadlag_fuse.cli import EXIT_OK, main
 from leadlag_fuse.diffusion import RwrConfig, ppmi, rwr_accumulate, rwr_steps
-from leadlag_fuse.fusion import FusionArchitecture, FusionModel, TrainingSample, TrainingSettings, train
+from leadlag_fuse.fusion import FusionArchitecture, FusionModel, TrainingSettings, train
 from leadlag_fuse.infotheory import (
     DiscreteSeries,
     MiTestConfig,
@@ -176,12 +176,13 @@ def test_crit_06_planted_lag_detection():
     for end in ends:
         window_1m = _slice_window(returns_1m, end, 1440)
         validated = validate_links(
-            lagged_mi_matrix(window_1m, 1, 4), MiTestConfig(4, 4, 1439, 0.01, 100)
+            lagged_mi_matrix(window_1m, 1, 4), significance_threshold(MiTestConfig(4, 4, 1439, 0.01, 100))
         )
         detections += validated[0, 1] > 0.0
         for returns, rows, lag in ((returns_1m, 1440, 2), (returns_5m, 288, 2)):
             window = _slice_window(returns, end, rows)
-            v = validate_links(lagged_mi_matrix(window, lag, 4), MiTestConfig(4, 4, rows - lag, 0.01, 100))
+            threshold = significance_threshold(MiTestConfig(4, 4, rows - lag, 0.01, 100))
+            v = validate_links(lagged_mi_matrix(window, lag, 4), threshold)
             false_positives += count_validated_links(v)
     rate = detections / len(ends)
     fp_mean = false_positives / len(ends)
@@ -276,8 +277,8 @@ def test_crit_09_fusion_gradient_check():
     )
     kink_free = min_pre > 1e-6
 
-    _, grads = model.loss_and_gradients(blocks)
-    numeric = central_difference_grads(lambda: model.reconstruction_loss(blocks), model.parameters(), h=1e-5)
+    _, grads = model.loss_and_gradients(rows)
+    numeric = central_difference_grads(lambda: model.reconstruction_loss(rows), model.parameters(), h=1e-5)
     worst = max_relative_error(grads, numeric, floor=1e-8)
     ok = kink_free and worst < 1e-4
     report_line(9, "fusion-gradient-check", ok, f"min |preact| {min_pre:.1e}, max rel err {worst:.2e}")
@@ -289,7 +290,7 @@ def test_crit_10_overfit_capacity():
     rng = np.random.default_rng(21)
     arch = FusionArchitecture(graph_count=2, input_dim=6, per_graph_dims=(25, 10), shared_dims=(30,), embedding_dim=15)
     model = FusionModel(arch, seed=3)
-    samples = [TrainingSample(i, 0, rng.random((2, 6))) for i in range(5)]
+    samples = np.stack([rng.random((2, 6)) for _ in range(5)])
     report = train(model, samples, 1, TrainingSettings(max_epochs=2000, patience=None, validation_fraction=0.0))
     best = min(report.train_losses)
     first_epoch = next((i + 1 for i, l in enumerate(report.train_losses) if l < 1e-3), None)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from leadlag_fuse import cli
 from leadlag_fuse.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -16,7 +17,7 @@ from leadlag_fuse.cli import (
     main,
 )
 from leadlag_fuse.market_data import load_prices
-from leadlag_fuse.pipeline import ConfigError, RunConfig, run_dynamic_fusion
+from leadlag_fuse.pipeline import ConfigError, RunConfig, load_embeddings_csv, run_dynamic_fusion
 from leadlag_fuse.synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic, synthetic_returns
 
 
@@ -147,6 +148,34 @@ class TestCliDispatch:
         for pattern in ("graphs/*/*", "embeddings.csv", "model.json"):
             written = tree_bytes(lib_out, pattern)
             assert written and written == tree_bytes(cli_out, pattern)
+
+    def test_rerun_graphs_leaves_no_stale_graphs(self, workspace):
+        root, config_path = workspace
+        out = root / "stale"
+        base = ["--config", str(config_path), "--out", str(out), "--quiet"]
+        assert main([*base, "run-all"]) == EXIT_OK
+        ends = json.loads((out / "report.json").read_text())["graphs"]["usable_window_ends"]
+        fewer = ["--set", f"window_ends={json.dumps(ends[1:])}", "--set", "training.validation_fraction=0"]
+        assert main([*base, *fewer, "graphs"]) == EXIT_OK
+        assert main([*base, *fewer, "fuse"]) == EXIT_OK
+        usable = json.loads((out / "report.json").read_text())["graphs"]["usable_window_ends"]
+        assert usable == ends[1:]
+        assert list(load_embeddings_csv(out / "embeddings.csv").dates()) == usable
+
+    def test_failed_report_write_keeps_previous_report(self, workspace, monkeypatch):
+        root, config_path = workspace
+        out = root / "atomic"
+        base = ["--config", str(config_path), "--out", str(out), "--quiet", "ingest"]
+        assert main(base) == EXIT_OK
+        before = (out / "report.json").read_bytes()
+
+        def crash_mid_write(obj, fh, **kwargs):
+            fh.write('{"schema_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.json, "dump", crash_mid_write)
+        assert main(base) == EXIT_FAILURE
+        assert (out / "report.json").read_bytes() == before
 
     def test_overrides_round_trip_into_report(self, workspace):
         root, config_path = workspace

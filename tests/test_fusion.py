@@ -8,13 +8,9 @@ from leadlag_fuse.fusion import (
     FusionArchitecture,
     FusionModel,
     TrainingDiverged,
-    TrainingSample,
     TrainingSettings,
-    decode,
-    encode,
     extract_embeddings,
     load_model,
-    reconstruction_loss,
     save_model,
     train,
 )
@@ -22,13 +18,8 @@ from leadlag_fuse.fusion import (
 TINY = FusionArchitecture(graph_count=2, input_dim=5, per_graph_dims=(4, 3), shared_dims=(4,), embedding_dim=3)
 
 
-def make_samples(rng, count, graphs=2, dim=5, date_index=0):
-    return [TrainingSample(i, date_index, rng.random((graphs, dim))) for i in range(count)]
-
-
-def blocks_of(samples):
-    rows = np.stack([s.rows for s in samples])
-    return [rows[:, l, :] for l in range(rows.shape[1])]
+def make_samples(rng, count, graphs=2, dim=5):
+    return rng.random((count, graphs, dim))
 
 
 class TestArchitecture:
@@ -53,12 +44,9 @@ class TestArchitecture:
         arch = FusionArchitecture(graph_count=graph_count, input_dim=7, per_graph_dims=(6, 4), shared_dims=(5,), embedding_dim=3)
         model = FusionModel(arch, seed=1)
         rng = np.random.default_rng(2)
-        blocks = [rng.random((4, 7)) for _ in range(graph_count)]
-        z = model.encode_batch(blocks)
+        z = model.encode_batch(rng.random((4, graph_count, 7)))
         assert z.shape == (4, 3)
-        recons = model.decode_batch(z)
-        assert len(recons) == graph_count
-        assert all(r.shape == (4, 7) for r in recons)
+        assert model.decode_batch(z).shape == (4, graph_count, 7)
 
     def test_invalid_architecture_rejected(self):
         with pytest.raises(ValueError):
@@ -70,12 +58,11 @@ class TestArchitecture:
 class TestEncodeDecode:
     def test_zero_input_zero_bias_gives_zero_embedding(self):
         model = FusionModel(TINY, seed=3)  # init biases are zero
-        sample = TrainingSample(0, 0, np.zeros((2, 5)))
-        assert np.array_equal(encode(model, sample), np.zeros(3))
+        assert np.array_equal(model.encode_batch(np.zeros((1, 2, 5))), np.zeros((1, 3)))
 
     def test_zero_embedding_zero_bias_decodes_to_zero(self):
         model = FusionModel(TINY, seed=3)
-        assert np.array_equal(decode(model, np.zeros(3)), np.zeros((2, 5)))
+        assert np.array_equal(model.decode_batch(np.zeros((1, 3))), np.zeros((1, 2, 5)))
 
     def test_tiny_hand_set_forward(self):
         arch = FusionArchitecture(graph_count=2, input_dim=3, per_graph_dims=(2,), shared_dims=(), embedding_dim=2)
@@ -88,11 +75,10 @@ class TestEncodeDecode:
             mlp.layers[0].bias[:] = 0.1
         x0 = np.array([0.3, 0.6, 0.2])
         x1 = np.array([0.5, 0.1, 0.4])
-        sample = TrainingSample(0, 0, np.stack([x0, x1]))
         h0 = np.maximum(w_enc0 @ x0 + 0.1, 0.0)
         h1 = np.maximum(w_enc1 @ x1 + 0.1, 0.0)
         expected = np.maximum(w_shared @ np.concatenate([h0, h1]) + 0.1, 0.0)
-        assert np.allclose(encode(model, sample), expected, atol=1e-15)
+        assert np.allclose(model.encode_batch(np.stack([x0, x1])[np.newaxis])[0], expected, atol=1e-15)
 
     def test_graph_permutation_requires_matching_shared_weights(self):
         arch = FusionArchitecture(graph_count=2, input_dim=4, per_graph_dims=(3,), shared_dims=(), embedding_dim=2)
@@ -100,34 +86,36 @@ class TestEncodeDecode:
         rng = np.random.default_rng(10)
         for p in model.parameters():
             p += 0.1 * rng.standard_normal(p.shape)
-        sample = TrainingSample(0, 0, rng.random((2, 4)))
+        sample = rng.random((1, 2, 4))
 
         permuted = FusionModel(arch, seed=9)
         for dst, src in zip(permuted.parameters(), model.parameters()):
             dst[:] = src
         permuted.graph_encoders = [permuted.graph_encoders[1], permuted.graph_encoders[0]]
-        swapped_sample = TrainingSample(0, 0, sample.rows[::-1].copy())
+        swapped_sample = sample[:, ::-1].copy()
 
         # with the shared encoder unchanged the embeddings differ...
-        assert not np.allclose(encode(permuted, swapped_sample), encode(model, sample))
+        assert not np.allclose(permuted.encode_batch(swapped_sample), model.encode_batch(sample))
         # ...and agree once its input columns are permuted the same way
         k = arch.per_graph_out
         w = permuted.shared_encoder.layers[0].weight
         w[:] = np.concatenate([w[:, k:], w[:, :k]], axis=1)
-        assert np.allclose(encode(permuted, swapped_sample), encode(model, sample), atol=1e-15)
+        assert np.allclose(permuted.encode_batch(swapped_sample), model.encode_batch(sample), atol=1e-15)
 
     def test_round_trip_shapes(self):
         model = FusionModel(TINY, seed=4)
-        sample = TrainingSample(0, 0, np.random.default_rng(5).random((2, 5)))
-        recon = decode(model, encode(model, sample))
-        assert recon.shape == (2, 5)
+        sample = np.random.default_rng(5).random((1, 2, 5))
+        recon = model.decode_batch(model.encode_batch(sample))
+        assert recon.shape == (1, 2, 5)
 
     def test_shape_mismatches_rejected(self):
         model = FusionModel(TINY, seed=4)
-        with pytest.raises(ValueError, match="blocks"):
-            model.encode_batch([np.zeros((1, 5))])  # wrong graph count
         with pytest.raises(ValueError, match="expected"):
-            model.encode_batch([np.zeros((1, 6)), np.zeros((1, 6))])  # wrong feature dim
+            model.encode_batch(np.zeros((1, 1, 5)))  # wrong graph count
+        with pytest.raises(ValueError, match="expected"):
+            model.encode_batch(np.zeros((1, 2, 6)))  # wrong feature dim
+        with pytest.raises(ValueError, match="expected"):
+            model.encode_batch(np.zeros((2, 5)))  # one graph's block, not a sample array
         with pytest.raises(ValueError, match="expected"):
             model.decode_batch(np.zeros((1, 7)))  # wrong embedding dim
 
@@ -135,29 +123,26 @@ class TestEncodeDecode:
 class TestReconstructionLoss:
     def test_perfect_reconstruction_is_zero(self):
         model = FusionModel(TINY, seed=6)
-        samples = [TrainingSample(0, 0, np.zeros((2, 5)))]
         # zero-weight model reconstructs zero inputs exactly
         for p in model.parameters():
             p[:] = 0.0
-        assert reconstruction_loss(model, samples) == 0.0
+        assert model.reconstruction_loss(np.zeros((1, 2, 5))) == 0.0
 
     def test_mean_over_graphs(self):
         model = FusionModel(TINY, seed=7)
         for p in model.parameters():
             p[:] = 0.0  # reconstructions are all zero
         rows = np.stack([np.full(5, np.sqrt(2.0)), np.full(5, 2.0)])
-        samples = [TrainingSample(0, 0, rows)]
         # per-graph MSEs are 2.0 and 4.0, so the fused loss is their mean
-        assert reconstruction_loss(model, samples) == pytest.approx(3.0, abs=1e-15)
+        assert model.reconstruction_loss(rows[np.newaxis]) == pytest.approx(3.0, abs=1e-15)
 
     def test_matches_independent_recomputation(self):
         rng = np.random.default_rng(8)
         model = FusionModel(TINY, seed=8)
         samples = make_samples(rng, 4)
-        blocks = blocks_of(samples)
-        recons = model.decode_batch(model.encode_batch(blocks))
-        expected = np.mean([np.mean((r - x) ** 2) for r, x in zip(recons, blocks)])
-        assert reconstruction_loss(model, samples) == pytest.approx(expected, abs=1e-15)
+        recons = model.decode_batch(model.encode_batch(samples))
+        expected = np.mean([np.mean((recons[:, g] - samples[:, g]) ** 2) for g in range(2)])
+        assert model.reconstruction_loss(samples) == pytest.approx(expected, abs=1e-15)
 
 
 class TestGradients:
@@ -166,8 +151,8 @@ class TestGradients:
         rng = np.random.default_rng(1000)
         for p in model.parameters():
             p += 0.05 * rng.standard_normal(p.shape)
-        samples = [TrainingSample(0, 0, rng.random((2, 5)) + 0.05) for _ in range(3)]
-        blocks = blocks_of(samples)
+        samples = rng.random((3, 2, 5)) + 0.05
+        blocks = [samples[:, g, :] for g in range(2)]
 
         records = [neural.forward(e, b) for e, b in zip(model.graph_encoders, blocks)]
         concat = np.concatenate([r.output for r in records], axis=1)
@@ -178,8 +163,8 @@ class TestGradients:
         pre = [z for r in records + [ser, sdr] + dec_recs for z in r.pre_activations]
         assert min(np.abs(z).min() for z in pre) > 1e-6  # away from ReLU kinks
 
-        _, grads = model.loss_and_gradients(blocks)
-        numeric = central_difference_grads(lambda: model.reconstruction_loss(blocks), model.parameters(), h=1e-5)
+        _, grads = model.loss_and_gradients(samples)
+        numeric = central_difference_grads(lambda: model.reconstruction_loss(samples), model.parameters(), h=1e-5)
         assert max_relative_error(grads, numeric, floor=1e-8) < 1e-4
 
 
@@ -223,7 +208,7 @@ class TestTrain:
         rng = np.random.default_rng(13)
         base = rng.random((2, 5))
         model = FusionModel(TINY, seed=13)
-        samples = [TrainingSample(i, 0, base.copy()) for i in range(20)]
+        samples = np.repeat(base[np.newaxis], 20, axis=0)
         report = train(model, samples, 3, TrainingSettings(max_epochs=500, patience=10, learning_rate=0.01))
         assert report.stop_reason == "early_stop"
         assert report.stop_epoch < 500
@@ -241,7 +226,7 @@ class TestTrain:
     def test_non_finite_loss_aborts_with_report(self):
         model = FusionModel(TINY, seed=15)
         samples = make_samples(np.random.default_rng(15), 12)
-        samples[0].rows[0, 0] = np.inf
+        samples[0, 0, 0] = np.inf
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDiverged) as excinfo:
                 train(model, samples, 1, TrainingSettings(max_epochs=10))
@@ -253,13 +238,35 @@ class TestEmbeddings:
         rng = np.random.default_rng(16)
         model = FusionModel(TINY, seed=16)
         samples = make_samples(rng, 4)
-        samples += [TrainingSample(s.asset_index, 1, s.rows.copy()) for s in samples]
+        samples = np.concatenate([samples, samples])  # the same rows on both dates
         frame = extract_embeddings(model, samples, [f"A{i}" for i in range(4)], [100, 200])
         assert len(frame) == len(samples)
         # identical feature rows on both dates give identical embeddings
         assert np.array_equal(frame.vectors[:4], frame.vectors[4:])
         assert frame.lookup("A0", 100) is not None
         assert frame.lookup("A0", 999) is None
+
+    def test_rows_are_date_major(self):
+        model = FusionModel(TINY, seed=19)
+        samples = make_samples(np.random.default_rng(19), 6)
+        frame = extract_embeddings(model, samples, ["A0", "A1", "A2"], [100, 200])
+        assert frame.asset_ids == ("A0", "A1", "A2", "A0", "A1", "A2")
+        assert frame.window_ends == (100, 100, 100, 200, 200, 200)
+        assert np.allclose(frame.lookup("A1", 200), model.encode_batch(samples[4:5])[0], rtol=0.0, atol=1e-12)
+
+    def test_row_count_must_cover_assets_and_dates(self):
+        model = FusionModel(TINY, seed=20)
+        with pytest.raises(ValueError, match="2 dates x 3 assets"):
+            extract_embeddings(model, make_samples(np.random.default_rng(20), 5), ["A0", "A1", "A2"], [100, 200])
+
+    def test_negative_features_rejected(self):
+        model = FusionModel(TINY, seed=21)
+        samples = make_samples(np.random.default_rng(21), 12)
+        samples[3, 1, 2] = -0.5
+        with pytest.raises(ValueError, match="nonnegative"):
+            train(model, samples, 1, TrainingSettings(max_epochs=1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            extract_embeddings(model, samples, [f"A{i}" for i in range(12)], [0])
 
     def test_default_architecture_embeds_in_15_dims(self):
         arch = FusionArchitecture(graph_count=2, input_dim=4)
@@ -274,8 +281,7 @@ class TestEmbeddings:
         samples = make_samples(rng, 3)
         save_model(model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
-        for s in samples:
-            assert np.array_equal(encode(model, s), encode(loaded, s))
+        assert np.array_equal(model.encode_batch(samples), loaded.encode_batch(samples))
 
     def test_frame_validation(self):
         with pytest.raises(ValueError, match="matching"):

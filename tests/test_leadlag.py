@@ -88,7 +88,7 @@ class TestLaggedMiMatrix:
         rng = np.random.default_rng(12)
         rm = make_returns(rng.standard_normal((1441, 6)))
         cfg = MiTestConfig(4, 4, 1440, 0.01, 36)
-        validated = validate_links(lagged_mi_matrix(rm, 1, 4), cfg)
+        validated = validate_links(lagged_mi_matrix(rm, 1, 4), significance_threshold(cfg))
         assert count_validated_links(validated) == 0
 
     def test_zero_lag_graph_equals_transpose(self):
@@ -106,25 +106,25 @@ class TestValidation:
         threshold = significance_threshold(cfg)
         assert threshold < 0.9
         c = np.array([[0.5, 0.9], [0.0, 0.5]])
-        weights = symmetrize(validate_links(c, cfg))
+        weights = symmetrize(validate_links(c, significance_threshold(cfg)))
         assert np.array_equal(weights, np.array([[0.0, 0.45], [0.45, 0.0]]))
 
     def test_all_below_threshold_gives_empty_graph(self):
         cfg = MiTestConfig(4, 4, 100, 0.01, 1)
         c = np.full((3, 3), 1e-6)
-        assert np.all(symmetrize(validate_links(c, cfg)) == 0.0)
+        assert np.all(symmetrize(validate_links(c, significance_threshold(cfg))) == 0.0)
 
     def test_symmetric_significant_matrix_is_fixed_point(self):
         cfg = MiTestConfig(4, 4, 1000, 0.01, 1)
         c = np.array([[0.0, 0.8, 0.6], [0.8, 0.0, 0.7], [0.6, 0.7, 0.0]])
-        assert np.array_equal(symmetrize(validate_links(c, cfg)), c)
+        assert np.array_equal(symmetrize(validate_links(c, significance_threshold(cfg))), c)
 
     def test_output_bitwise_symmetric(self):
         rng = np.random.default_rng(14)
         cfg = MiTestConfig(4, 4, 1000, 0.01, 1)
         for _ in range(10):
             c = rng.random((6, 6))
-            weights = symmetrize(validate_links(c, cfg))
+            weights = symmetrize(validate_links(c, significance_threshold(cfg)))
             assert np.array_equal(weights, weights.T)
 
     def test_directed_count(self):
@@ -138,7 +138,7 @@ class TestValidation:
         counts = {}
         for lag in range(3):
             cfg = MiTestConfig(4, 4, 722 - lag, 0.01, 4)
-            validated = validate_links(lagged_mi_matrix(rm, lag, 4), cfg)
+            validated = validate_links(lagged_mi_matrix(rm, lag, 4), significance_threshold(cfg))
             counts[lag] = count_validated_links(validated)
         assert counts == {0: 0, 1: 1, 2: 0}
 
@@ -187,7 +187,7 @@ class TestPlantedLagPower:
             detected = False
             for lag in range(4):
                 cfg = MiTestConfig(4, 4, rows - lag, 0.01, 144)
-                validated = validate_links(lagged_mi_matrix(rm, lag, 4), cfg)
+                validated = validate_links(lagged_mi_matrix(rm, lag, 4), significance_threshold(cfg))
                 count = count_validated_links(validated)
                 if lag == 1:
                     detected = validated[0, 1] > 0.0

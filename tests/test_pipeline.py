@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from leadlag_fuse.diffusion import node_features
 from leadlag_fuse.fusion import EmbeddingFrame
 from leadlag_fuse.leadlag import LagSpec
 from leadlag_fuse.market_data import MS_PER_MINUTE, PricePanel, log_returns
@@ -12,11 +13,13 @@ from leadlag_fuse.pipeline import (
     ModelSettings,
     RunConfig,
     TrainingSettings,
+    build_graphs,
     cosine_similarity,
     link_count_summary,
     load_embeddings_csv,
     pca_project,
     run_dynamic_fusion,
+    samples_from_graphs,
     select_window_ends,
     similarity_matrix,
     similarity_series,
@@ -109,6 +112,26 @@ class TestWindowing:
         assert (tmp_path / "embeddings.csv").exists()
         assert (tmp_path / "model.json").exists()
         assert len(list((tmp_path / "graphs").glob("*/*.csv"))) == 2
+
+    def test_sample_rows_are_date_major(self):
+        panel = tiny_panel(rows=60, assets=3)
+        config = tiny_config(panel, n_dates=3)
+        config = RunConfig(
+            specs=(LagSpec(1, 0), LagSpec(1, 1)),
+            window_minutes=config.window_minutes,
+            window_ends=config.window_ends,
+            model=config.model,
+            training=config.training,
+        )
+        graphs, usable_ends, _, _ = build_graphs(config, panel)
+        samples = samples_from_graphs(graphs, config.specs, usable_ends, config.rwr)
+        assert samples.shape == (3 * 3, 2, 3)
+        by_key = {(g.spec.tag, g.window_end): g for g in graphs}
+        for d, end in enumerate(usable_ends):
+            for k, spec in enumerate(config.specs):
+                ppmi = node_features(by_key[(spec.tag, end)].adjacency, config.rwr, spec.tag).ppmi
+                for a in range(3):
+                    assert np.array_equal(samples[d * 3 + a, k], ppmi[a])
 
     def test_insufficient_window_skipped_with_reason(self, caplog):
         panel = tiny_panel(rows=40)
