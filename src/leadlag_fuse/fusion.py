@@ -189,7 +189,13 @@ class FusionModel:
         return sum(mse(r, x[:, g, :]) for g, r in enumerate(recons)) / len(recons)
 
     def encode_batch(self, samples: np.ndarray) -> np.ndarray:
-        """Fused embeddings (batch, embedding_dim)."""
+        """Fused embeddings (batch, embedding_dim).
+
+        Not batch-invariant in the last bits: the matrix products may sum in a
+        different order for a different batch, so a row encoded alone or in
+        another batch can differ by ~1e-16 from the same row in
+        ``extract_embeddings``.
+        """
         return self._encode(self._check_inputs(samples))
 
     def decode_batch(self, z: np.ndarray) -> np.ndarray:

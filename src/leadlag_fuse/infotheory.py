@@ -13,6 +13,7 @@ correction: each link is tested at level p / m.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -269,8 +270,13 @@ class MiTestConfig:
         return self.uncorrected_p / self.num_tests
 
 
+@functools.lru_cache(maxsize=256)
 def significance_threshold(cfg: MiTestConfig) -> float:
-    """MI acceptance threshold in bits for the Gamma null at the corrected level."""
+    """MI acceptance threshold in bits for the Gamma null at the corrected level.
+
+    Cached per config: every graph of one spec shares its threshold, and the
+    Gamma-quantile solve is the costly part.
+    """
     alpha = (cfg.states_x - 1) * (cfg.states_y - 1) / 2.0
     beta = 1.0 / (cfg.sample_size * math.log(2.0))
     return gamma_quantile(1.0 - cfg.corrected_p, alpha, beta)

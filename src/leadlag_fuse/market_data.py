@@ -91,32 +91,48 @@ class ReturnMatrix:
         return len(self.assets)
 
 
+_PRICE_ROW = np.dtype([("timestamp", np.int64), ("price", np.float64)])
+
+
+def _read_header(path: Path) -> tuple[list[str], bool]:
+    """The header fields of a CSV file, and whether a non-blank line follows them."""
+    with open(path, encoding="utf-8") as fh:
+        header = next(csv.reader([fh.readline()]), [])
+        return header, any(not line.isspace() for line in fh)
+
+
+def _read_body(path: Path, row: np.dtype, usecols: tuple[int, ...] | None = None) -> np.ndarray:
+    """The rows after the header, parsed by numpy's C reader; empty lines are skipped."""
+    try:
+        return np.loadtxt(
+            path,
+            delimiter=",",
+            dtype=row,
+            usecols=usecols,
+            ndmin=1,
+            skiprows=1,
+            comments=None,
+            quotechar='"',
+            encoding="utf-8",
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: malformed or unparseable row: {exc}") from exc
+
+
 def _read_price_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
-            raise ValueError(f"{path.name}: expected header 'timestamp,price'")
-        ts: list[int] = []
-        px: list[float] = []
-        for i, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path.name}: malformed row {i}: {row!r}")
-            try:
-                t = int(row[0])
-                p = float(row[1])
-            except ValueError as exc:
-                raise ValueError(f"{path.name}: unparseable row {i}: {row!r}") from exc
-            if not np.isfinite(p) or p <= 0.0:
-                raise ValueError(f"{path.name}: non-positive price {p} at row {i} (timestamp {t})")
-            ts.append(t)
-            px.append(p)
-    if not ts:
+    header, has_rows = _read_header(path)
+    if [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
+        raise ValueError(f"{path.name}: expected header 'timestamp,price'")
+    if not has_rows:
         raise ValueError(f"{path.name}: file contains no price rows")
-    ts_arr = np.asarray(ts, dtype=np.int64)
-    px_arr = np.asarray(px, dtype=float)
+    rows = _read_body(path, _PRICE_ROW, usecols=(0, 1))
+    ts_arr, px_arr = rows["timestamp"], rows["price"]
+    bad = ~(np.isfinite(px_arr) & (px_arr > 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"{path.name}: price {px_arr[i]} at row {i + 1} (timestamp {ts_arr[i]}) is not finite and positive"
+        )
     order = np.argsort(ts_arr, kind="stable")
     ts_arr, px_arr = ts_arr[order], px_arr[order]
     dup = np.nonzero(np.diff(ts_arr) == 0)[0]
@@ -216,37 +232,31 @@ def write_panel_csv(panel: PricePanel, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", *panel.assets])
-        for i, t in enumerate(panel.timestamps):
-            writer.writerow([int(t), *(_fmt(v) for v in panel.prices[i])])
+        csv.writer(fh).writerow(["timestamp", *panel.assets])
+        # One row at a time: converting the whole matrix with tolist() at once
+        # holds a Python float per cell and raises peak memory.
+        for t, row in zip(panel.timestamps.tolist(), panel.prices):
+            fh.write(f"{t}," + ",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def load_panel_csv(path: str | Path) -> PricePanel:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "timestamp" or len(header) < 3:
-            raise ValueError(f"{path.name}: expected header 'timestamp,<asset>,...' with >= 2 assets")
-        assets = tuple(header[1:])
-        ts: list[int] = []
-        rows: list[list[float]] = []
-        for row in reader:
-            if not row:
-                continue
-            ts.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    if len(ts) < 2:
+    header, has_rows = _read_header(path)
+    if not header or header[0] != "timestamp" or len(header) < 3:
+        raise ValueError(f"{path.name}: expected header 'timestamp,<asset>,...' with >= 2 assets")
+    assets = tuple(header[1:])
+    row = np.dtype([("timestamp", np.int64), ("prices", np.float64, (len(assets),))])
+    rows = _read_body(path, row) if has_rows else np.empty(0, dtype=row)
+    if rows.size < 2:
         raise ValueError(f"{path.name}: panel cache has fewer than 2 rows")
-    steps = np.diff(np.asarray(ts, dtype=np.int64))
+    ts = rows["timestamp"]
+    steps = np.diff(ts)
     step = int(steps[0])
     if step <= 0 or step % MS_PER_MINUTE != 0 or not np.all(steps == step):
         raise ValueError(f"{path.name}: timestamps are not a uniform minute-multiple grid")
     return PricePanel(
-        timestamps=np.asarray(ts, dtype=np.int64),
+        timestamps=np.ascontiguousarray(ts),
         assets=assets,
-        prices=np.asarray(rows, dtype=float),
+        prices=np.ascontiguousarray(rows["prices"]),
         period_minutes=step // MS_PER_MINUTE,
     )
-

@@ -178,6 +178,15 @@ class TestSignificance:
         direct = gamma_quantile(0.95, 4.5, 1.0 / (1000.0 * math.log(2.0)))
         assert significance_threshold(cfg) == pytest.approx(direct, abs=1e-15)
 
+    def test_cached_threshold_equals_fresh_solve(self):
+        for cfg in (MiTestConfig(4, 4, 1440, 0.01, 69 * 69), MiTestConfig(3, 5, 500, 0.05, 10)):
+            alpha = (cfg.states_x - 1) * (cfg.states_y - 1) / 2.0
+            fresh = gamma_quantile(1.0 - cfg.corrected_p, alpha, 1.0 / (cfg.sample_size * math.log(2.0)))
+            first = significance_threshold(cfg)
+            again = significance_threshold(MiTestConfig(**vars(cfg)))
+            assert first == fresh
+            assert again == fresh
+
     def test_threshold_matches_null_simulation(self):
         cfg = MiTestConfig(4, 4, 1440, 0.05, 1)
         threshold = significance_threshold(cfg)

@@ -97,6 +97,101 @@ class TestLoadPrices:
         assert np.array_equal(first.timestamps, second.timestamps)
 
 
+def write_raw(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def load_pair(tmp_path, text, name="BAD"):
+    """load_prices over a clean AAA.csv and a second file holding ``text``."""
+    write_asset_csv(tmp_path / "AAA.csv", [(minute_ts(i), 100) for i in range(5)])
+    write_raw(tmp_path / f"{name}.csv", text)
+    return load_prices(sorted(tmp_path.glob("*.csv")))
+
+
+class TestPriceFileFormat:
+    PARSE_ERROR = r"BAD\.csv: (malformed|unparseable)"
+
+    def test_wrong_header_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"BAD\.csv: expected header"):
+            load_pair(tmp_path, f"time,close\n{minute_ts(0)},100\n{minute_ts(1)},100\n")
+
+    def test_one_field_row_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=self.PARSE_ERROR):
+            load_pair(tmp_path, f"timestamp,price\n{minute_ts(0)},100\n{minute_ts(1)}\n")
+
+    @pytest.mark.parametrize("stamp", [f"{minute_ts(1)}.0", "x", ""])
+    def test_unparseable_timestamp_rejected(self, tmp_path, stamp):
+        with pytest.raises(ValueError, match=self.PARSE_ERROR):
+            load_pair(tmp_path, f"timestamp,price\n{minute_ts(0)},100\n{stamp},100\n")
+
+    @pytest.mark.parametrize("price", ["abc", "", "0x10", '"1,5"'])
+    def test_unparseable_price_rejected(self, tmp_path, price):
+        with pytest.raises(ValueError, match=self.PARSE_ERROR):
+            load_pair(tmp_path, f"timestamp,price\n{minute_ts(0)},100\n{minute_ts(1)},{price}\n")
+
+    @pytest.mark.parametrize("price", ["nan", "inf", "-inf", "1e400", "-5", "0"])
+    def test_nonfinite_or_nonpositive_price_rejected(self, tmp_path, price):
+        text = f"timestamp,price\n{minute_ts(0)},100\n{minute_ts(1)},{price}\n{minute_ts(2)},100\n"
+        with pytest.raises(ValueError, match=rf"BAD\.csv: .*price .*row 2 .*{minute_ts(1)}"):
+            load_pair(tmp_path, text)
+
+    def test_duplicate_timestamp_rejected(self, tmp_path):
+        text = f"timestamp,price\n{minute_ts(0)},100\n{minute_ts(1)},101\n{minute_ts(1)},102\n"
+        with pytest.raises(ValueError, match=rf"BAD\.csv: duplicate timestamp {minute_ts(1)}"):
+            load_pair(tmp_path, text)
+
+    def test_rows_in_any_order_are_sorted(self, tmp_path):
+        order = [3, 0, 4, 2, 1]
+        text = "timestamp,price\n" + "".join(f"{minute_ts(i)},{200 + i}\n" for i in order)
+        panel = load_pair(tmp_path, text)
+        assert np.array_equal(panel.timestamps, [minute_ts(i) for i in range(5)])
+        assert np.array_equal(panel.prices[:, 1], [200.0, 201.0, 202.0, 203.0, 204.0])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "timestamp,price\n\n{0},200\n\n\n{1},201\n{2},202\n{3},203\n{4},204\n\n",
+            "timestamp,price\r\n{0},200\r\n{1},201\r\n{2},202\r\n{3},203\r\n{4},204\r\n",
+            "timestamp,price\r{0},200\r{1},201\r{2},202\r{3},203\r{4},204\r",
+            'timestamp,price\n"{0}","200"\n"{1}",201\n{2},"202"\n"{3}","203"\n"{4}","204"\n',
+            "timestamp,price,volume\n{0},200,7\n{1},201,8,x\n{2},202,9\n{3},203,0\n{4},204,1\n",
+            " Timestamp , PRICE \n{0}, 200\n {1} ,201\n{2},2.02e2\n{3},203.\n{4},+204\n",
+        ],
+        ids=["blank-lines", "crlf", "cr", "quoted", "extra-columns", "spaces-case-and-forms"],
+    )
+    def test_accepted_layouts(self, tmp_path, text):
+        panel = load_pair(tmp_path, text.format(*(minute_ts(i) for i in range(5))))
+        assert np.array_equal(panel.timestamps, [minute_ts(i) for i in range(5)])
+        assert np.array_equal(panel.prices[:, 1], [200.0, 201.0, 202.0, 203.0, 204.0])
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"])
+    def test_header_only_file_rejected_by_name(self, tmp_path, body):
+        with pytest.raises(ValueError, match=r"EMPTY\.csv: file contains no price rows"):
+            load_pair(tmp_path, "timestamp,price\n" + body, name="EMPTY")
+
+    @pytest.mark.parametrize("price", ["1_000", "1_000.5"])
+    def test_digit_separators_rejected(self, tmp_path, price):
+        # Python's float() reads "1_000"; the price-file format has no digit separators.
+        with pytest.raises(ValueError, match=self.PARSE_ERROR):
+            load_pair(tmp_path, f"timestamp,price\n{minute_ts(0)},100\n{minute_ts(1)},{price}\n")
+
+    def test_whitespace_only_line_rejected(self, tmp_path):
+        # Only empty lines are skipped; a line of spaces is a row with an empty timestamp.
+        with pytest.raises(ValueError, match=self.PARSE_ERROR):
+            load_pair(tmp_path, f"timestamp,price\n{minute_ts(0)},100\n   \n{minute_ts(1)},101\n")
+
+    def test_prices_round_trip_bitwise(self, tmp_path):
+        rng = np.random.default_rng(20)
+        rows = 400
+        prices = (1.0 + 9.0 * rng.random((rows, 2))) * 10.0 ** rng.integers(-30, 30, (rows, 2))
+        for j, name in enumerate(("AAA", "BBB")):
+            text = "timestamp,price\n" + "".join(f"{minute_ts(i)},{p!r}\n" for i, p in enumerate(prices[:, j].tolist()))
+            write_raw(tmp_path / f"{name}.csv", text)
+        panel = load_prices(sorted(tmp_path.glob("*.csv")))
+        assert np.array_equal(panel.prices.view(np.int64), prices.view(np.int64))
+
+
 class TestResample:
     def test_identity_period(self):
         panel = make_panel(np.arange(1, 21).reshape(10, 2))
@@ -164,6 +259,54 @@ class TestCsvRoundTrips:
         assert loaded.period_minutes == panel.period_minutes
         assert np.array_equal(loaded.prices, panel.prices)
         assert np.array_equal(loaded.timestamps, panel.timestamps)
+
+    def test_panel_csv_bytes_match_csv_writer(self, tmp_path):
+        prices = np.array(
+            [
+                [1e-05, 1.2345678901234568e17, 100.0],
+                [0.1, 3e-300, 1e22],
+                [2.5, 123456789.125, 7.000000000000001],
+            ]
+        )
+        panel = PricePanel(
+            timestamps=T0 + 5 * MS_PER_MINUTE * np.arange(3),
+            assets=("AAA", "B,B", "C"),
+            prices=prices,
+            period_minutes=5,
+        )
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["timestamp", *panel.assets])
+            for t, row in zip(panel.timestamps.tolist(), prices.tolist()):
+                writer.writerow([t, *map(repr, row)])
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        data = (tmp_path / "panel.csv").read_bytes()
+        assert data == reference.read_bytes()
+        assert b"1e-05" in data and b"1.2345678901234568e+17" in data and data.endswith(b"\r\n")
+        loaded = load_panel_csv(tmp_path / "panel.csv")
+        assert loaded.assets == panel.assets
+        assert loaded.period_minutes == 5
+        assert np.array_equal(loaded.prices.view(np.int64), prices.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("time,A,B\r\n{0},1.0,2.0\r\n{1},1.0,2.0\r\n", "expected header"),
+            ("timestamp,A\r\n{0},1.0\r\n{1},1.0\r\n", "expected header"),
+            ("timestamp,A,B\r\n{0},1.0,2.0\r\n", "fewer than 2 rows"),
+            ("timestamp,A,B\r\n", "fewer than 2 rows"),
+            ("timestamp,A,B\r\n{0},1.0,2.0\r\n{1},1.0,2.0\r\n{3},1.0,2.0\r\n", "uniform"),
+            ("timestamp,A,B\r\n{1},1.0,2.0\r\n{0},1.0,2.0\r\n", "uniform"),
+            ("timestamp,A,B\r\n{0},1.0\r\n{1},1.0,2.0\r\n", "malformed"),
+            ("timestamp,A,B\r\n{0},1.0,2.0\r\nx,1.0,2.0\r\n", "malformed"),
+        ],
+        ids=["header", "one-asset", "one-row", "no-rows", "irregular-grid", "descending", "short-row", "bad-stamp"],
+    )
+    def test_panel_csv_rejections(self, tmp_path, text, message):
+        write_raw(tmp_path / "panel.csv", text.format(*(minute_ts(i) for i in range(4))))
+        with pytest.raises(ValueError, match=rf"panel\.csv: .*{message}"):
+            load_panel_csv(tmp_path / "panel.csv")
 
 
 class TestPanelInvariants:
