@@ -177,7 +177,11 @@ def gamma_quantile(q: float, alpha: float, beta: float, max_iter: int = 300) -> 
 
 @dataclass(frozen=True)
 class DiscreteSeries:
-    """Integer-valued series over the alphabet {0, ..., cardinality - 1}."""
+    """Integer-valued series over the alphabet {0, ..., cardinality - 1}.
+
+    ``states`` is one series, or a (rows, columns) block holding one series
+    per column; the length is the number of rows.
+    """
 
     states: np.ndarray
     cardinality: int
@@ -187,35 +191,40 @@ class DiscreteSeries:
         object.__setattr__(self, "states", states)
         if self.cardinality < 1:
             raise ValueError(f"cardinality must be positive, got {self.cardinality}")
-        if states.ndim != 1:
-            raise ValueError("states must be one-dimensional")
+        if states.ndim not in (1, 2):
+            raise ValueError("states must be a series or a (rows, columns) block")
         if states.size and (states.min() < 0 or states.max() >= self.cardinality):
             raise ValueError("states must lie in [0, cardinality)")
 
     def __len__(self) -> int:
-        return int(self.states.size)
+        return int(self.states.shape[0])
 
 
 def discretize_equal_frequency(values, states: int = 4) -> DiscreteSeries:
     """Map reals to ``states`` equal-frequency bins by rank.
 
-    The value of rank r (0-based ascending, ties broken by original index)
-    goes to state floor(r * states / n), so each state receives either
+    ``values`` is one series, or a (rows, columns) block whose columns are
+    binned independently with one ranking of the whole block. The value of
+    rank r (0-based ascending along the rows, ties broken by row index) goes
+    to state floor(r * states / n), so each state receives either
     floor(n / states) or ceil(n / states) points. Rank-based binning makes
     the result invariant under any strictly increasing transform.
     """
     v = np.asarray(values, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("values must be one-dimensional")
+    if v.ndim not in (1, 2):
+        raise ValueError("values must be a series or a (rows, columns) block")
     if states < 1:
         raise ValueError(f"states must be positive, got {states}")
-    n = v.size
+    n = v.shape[0]
     if n < states:
         raise ValueError(f"need at least {states} values to form {states} states, got {n}")
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(n, dtype=np.int64)
-    return DiscreteSeries(states=(ranks * states) // n, cardinality=states)
+    order = np.argsort(v, axis=0, kind="stable")
+    ranks = np.empty(v.shape, dtype=np.int64)
+    rank_of_position = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (v.ndim - 1))
+    np.put_along_axis(ranks, order, rank_of_position, axis=0)
+    ranks *= states  # in place: no second rows x columns int64 temporary
+    ranks //= n
+    return DiscreteSeries(states=ranks, cardinality=states)
 
 
 def _mi_bits_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -233,6 +242,8 @@ def _mi_bits_from_counts(counts: np.ndarray) -> np.ndarray:
 
 def mutual_information_bits(x: DiscreteSeries, y: DiscreteSeries) -> float:
     """Plug-in mutual information between two discrete series, in bits."""
+    if x.states.ndim != 1 or y.states.ndim != 1:
+        raise ValueError("mutual_information_bits takes two series, not blocks")
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) == 0:

@@ -93,32 +93,51 @@ def shift_split(returns: ReturnMatrix, lag: int) -> tuple[np.ndarray, np.ndarray
     return returns.returns[:-lag], returns.returns[lag:]
 
 
-def _discretize_columns(block: np.ndarray, states: int) -> np.ndarray:
-    cols = [discretize_equal_frequency(block[:, j], states).states for j in range(block.shape[1])]
-    return np.column_stack(cols)
+# Contingency counts are float32 sums of 0/1 products. float32 holds every
+# integer up to 2**24 exactly, so the counts are exact up to that many rows.
+_EXACT_COUNT_ROWS = 2**24
+# Source assets whose counts one GEMM takes: bounds the per-graph transient
+# to _SOURCE_BLOCK x n x states**2 counts and their MI terms.
+_SOURCE_BLOCK = 32
+
+
+def _one_hot(codes: np.ndarray, states: int) -> np.ndarray:
+    """(rows, assets * states) float32 indicator of each asset's state per row."""
+    return (codes[:, :, np.newaxis] == np.arange(states)).reshape(codes.shape[0], -1).astype(np.float32)
 
 
 def lagged_mi_matrix(returns: ReturnMatrix, lag: int, states: int = 4) -> np.ndarray:
     """n x n matrix of plug-in MI (bits) between past and lag-shifted future columns.
 
-    Discretization is applied per column of each block independently, so each
-    asset's past and future are separately reduced to equal-frequency states.
+    Each block (past, future) is discretized with one equal-frequency ranking
+    of the whole block, so each asset's past and future are separately reduced
+    to states; at lag 0 both are the same block, ranked once. The counts of
+    every (source, target) contingency table come from one-hot GEMMs: with
+    Y the (rows, n * states) one-hot state matrix of the future and X_b that
+    of a block of past columns, ``X_b^T @ Y`` holds the tables of every
+    source in the block against all targets. Sources go in fixed blocks of
+    ``_SOURCE_BLOCK``, one GEMM and one MI evaluation per block, so the full
+    n x n x states x states tensor never exists at once. The counts are
+    accumulated in float32, which is exact up to ``_EXACT_COUNT_ROWS``
+    (2**24) overlapping rows; longer windows are rejected.
     """
     past, future = shift_split(returns, lag)
-    if past.shape[0] < states:
+    rows, n = past.shape
+    if rows < states:
+        raise ValueError(f"{rows} overlapping rows cannot support {states}-state discretization")
+    if rows > _EXACT_COUNT_ROWS:
         raise ValueError(
-            f"{past.shape[0]} overlapping rows cannot support {states}-state discretization"
+            f"{rows} overlapping rows exceed {_EXACT_COUNT_ROWS}, the longest window whose "
+            "float32 contingency counts are exact"
         )
-    xa = _discretize_columns(past, states)
-    yb = _discretize_columns(future, states)
-    n = xa.shape[1]
-    s2 = states * states
-    offsets = (np.arange(n, dtype=np.int64) * s2)[np.newaxis, :]
+    xs = discretize_equal_frequency(past, states).states
+    y = _one_hot(xs if lag == 0 else discretize_equal_frequency(future, states).states, states)
     mi = np.empty((n, n), dtype=float)
-    for m in range(n):
-        codes = xa[:, m : m + 1] * states + yb + offsets
-        counts = np.bincount(codes.ravel(), minlength=n * s2).reshape(n, states, states)
-        mi[m] = _mi_bits_from_counts(counts)
+    for lo in range(0, n, _SOURCE_BLOCK):
+        hi = min(lo + _SOURCE_BLOCK, n)
+        joint = _one_hot(xs[:, lo:hi], states).T @ y
+        counts = joint.reshape(hi - lo, states, n, states).transpose(0, 2, 1, 3)
+        mi[lo:hi] = _mi_bits_from_counts(np.ascontiguousarray(counts, dtype=float))
     return np.maximum(mi, 0.0)
 
 

@@ -57,6 +57,42 @@ class TestDiscretize:
                 assert np.array_equal(discretize_equal_frequency(transform(values), 4).states, base)
 
 
+class TestDiscretizeBlock:
+    def block(self):
+        rng = np.random.default_rng(30)
+        b = rng.standard_normal((61, 6))
+        b[:, :3][rng.random((61, 3)) < 0.8] = 0.0  # illiquid columns: ties
+        b[:, 3] = 2.5  # constant column
+        b[:, 4] = np.repeat([1.0, -1.0, 0.5], [20, 21, 20])  # long runs of ties
+        return b
+
+    def test_block_equals_columns(self):
+        b = self.block()
+        d = discretize_equal_frequency(b, 4)
+        assert d.states.shape == b.shape
+        assert len(d) == b.shape[0]
+        for j in range(b.shape[1]):
+            assert np.array_equal(d.states[:, j], discretize_equal_frequency(b[:, j], 4).states)
+
+    def test_single_column_block_equals_series(self):
+        values = self.block()[:, 0]
+        column = discretize_equal_frequency(values[:, np.newaxis], 4).states
+        assert np.array_equal(column[:, 0], discretize_equal_frequency(values, 4).states)
+
+    def test_block_too_short_rejected(self):
+        with pytest.raises(ValueError, match="at least 4"):
+            discretize_equal_frequency(np.zeros((3, 5)), 4)
+
+    def test_three_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="block"):
+            discretize_equal_frequency(np.zeros((8, 2, 2)), 4)
+
+    def test_mutual_information_rejects_blocks(self):
+        d = discretize_equal_frequency(self.block(), 4)
+        with pytest.raises(ValueError, match="two series"):
+            mutual_information_bits(d, d)
+
+
 class TestMutualInformation:
     def test_self_information_is_two_bits(self):
         x = discretize_equal_frequency(np.arange(8.0), 4)

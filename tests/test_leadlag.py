@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import mi_bits_oracle
+from leadlag_fuse import leadlag
 from leadlag_fuse.infotheory import MiTestConfig, discretize_equal_frequency, significance_threshold
 from leadlag_fuse.leadlag import (
     LagSpec,
@@ -98,6 +101,79 @@ class TestLaggedMiMatrix:
         assert np.allclose(mi, mi.T, atol=1e-12)
         graph = build_graph(rm, LagSpec(1, 0), int(rm.timestamps[-1]), 0.01)
         assert np.array_equal(graph.weights, graph.weights.T)
+
+
+def oracle_mi_matrix(rm, lag, states=4):
+    """Per-pair MI from per-column 1-D discretization and the pure-python oracle."""
+    past, future = shift_split(rm, lag)
+    n = past.shape[1]
+    xs = [discretize_equal_frequency(past[:, m], states).states.tolist() for m in range(n)]
+    ys = [discretize_equal_frequency(future[:, q], states).states.tolist() for q in range(n)]
+    return np.array([[mi_bits_oracle(xs[m], ys[q], states, states) for q in range(n)] for m in range(n)])
+
+
+def illiquid_returns(seed, rows, n, zero_share=0.8):
+    """Gaussian returns; the first half of the columns are zero in ~zero_share of rows."""
+    rng = np.random.default_rng(seed)
+    r = 0.001 * rng.standard_normal((rows, n))
+    flat = n // 2 + n % 2
+    r[:, :flat][rng.random((rows, flat)) < zero_share] = 0.0
+    return r
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("lag", [0, 2])
+    @pytest.mark.parametrize(
+        "rows, n, constant",
+        [(37, 6, None), (30, 4, 2), (18, leadlag._SOURCE_BLOCK + 1, None), (25, 1, None)],
+        ids=["ties", "constant-column", "partial-source-block", "single-asset"],
+    )
+    def test_matches_per_pair_oracle(self, lag, rows, n, constant):
+        r = illiquid_returns(20, rows, n)
+        if constant is not None:
+            r[:, constant] = 0.0
+        rm = make_returns(r)
+        mi = lagged_mi_matrix(rm, lag, 4)
+        assert mi.shape == (n, n)
+        assert np.allclose(mi, oracle_mi_matrix(rm, lag), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("lag, calls", [(0, 1), (1, 2), (2, 2)])
+    def test_one_discretization_per_block(self, monkeypatch, lag, calls):
+        seen = []
+
+        def counting(values, states=4):
+            seen.append(np.shape(values))
+            return discretize_equal_frequency(values, states)
+
+        monkeypatch.setattr(leadlag, "discretize_equal_frequency", counting)
+        lagged_mi_matrix(make_returns(illiquid_returns(24, 40, 5)), lag, 4)
+        assert seen == [(40 - lag, 5)] * calls
+
+    def test_float32_counts_exact_to_the_row_bound(self):
+        bound = leadlag._EXACT_COUNT_ROWS
+        assert bound == 2**24
+        assert np.float32(bound - 1) + np.float32(1) == np.float32(bound)
+        assert np.float32(bound) + np.float32(1) == np.float32(bound)  # one past the bound is lost
+
+    def test_window_beyond_exact_counts_rejected(self, monkeypatch):
+        monkeypatch.setattr(leadlag, "_EXACT_COUNT_ROWS", 10)
+        rm = make_returns(illiquid_returns(25, 12, 3))
+        assert lagged_mi_matrix(rm, 2, 4).shape == (3, 3)  # 10 overlapping rows: at the bound
+        with pytest.raises(ValueError, match="11 overlapping rows exceed 10"):
+            lagged_mi_matrix(rm, 1, 4)
+
+    def test_wide_graph_memory_budget(self):
+        # One 200-asset graph over a day of minutes peaks at 11.7 MiB (11.4 MiB
+        # with the earlier per-row bincount); taking all sources in one GEMM,
+        # with the full n x n x S x S counts and MI terms, peaks at 37 MiB.
+        rm = make_returns(illiquid_returns(26, 1441, 200, zero_share=0.0))
+        tracemalloc.start()
+        try:
+            lagged_mi_matrix(rm, 1, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestValidation:
