@@ -319,9 +319,7 @@ def stage_postprocess(out_dir: Path, config: dict, frame=None):
         pairs = [(a, b) for i, a in enumerate(universe) for b in universe[i + 1 :]]
     else:
         pairs = list(run_config.similarity_pairs)
-    for pair in pairs:
-        series = pipeline.similarity_series(frame, pair)
-        pipeline.write_similarity_csv(series, out_dir / "similarity" / f"{pair[0]}_{pair[1]}.csv")
+    pipeline.write_similarity_dir(pipeline.similarity_series_batch(frame, pairs), out_dir / "similarity")
     projection = pipeline.pca_project(frame, run_config.pca_components)
     pipeline.write_pca_csv(projection, out_dir / "pca.csv")
     payload = {

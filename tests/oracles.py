@@ -3,11 +3,14 @@
 These deliberately avoid the library's own vectorized paths: the MI oracle is
 a pure-python double loop over the contingency table, the RWR oracle applies
 the restart recurrence one scalar at a time, and the finite-difference helper
-perturbs one parameter entry at a time.
+perturbs one parameter entry at a time; the similarity oracle takes one
+``np.dot`` per pair and date and writes with ``csv.writer``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -84,3 +87,26 @@ def max_relative_error(analytic, numeric, floor: float = 1e-8) -> float:
         if np.any(mask):
             worst = max(worst, float((np.abs(a - n)[mask] / scale[mask]).max()))
     return worst
+
+
+def similarity_csv_oracle(embeddings_csv, a: str, b: str) -> bytes:
+    """Bytes of the ``similarity/<a>_<b>.csv`` file for an ``embeddings.csv``, pair by pair."""
+    vectors = {}
+    with open(embeddings_csv, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            vectors[(row[0], int(row[1]))] = np.array([float(v) for v in row[2:]])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["window_end", "cosine"])
+    for end in sorted({t for _, t in vectors}):
+        if (a, end) not in vectors or (b, end) not in vectors:
+            continue
+        z_a, z_b = vectors[(a, end)], vectors[(b, end)]
+        n_a, n_b = float(np.linalg.norm(z_a)), float(np.linalg.norm(z_b))
+        if n_a == 0.0 or n_b == 0.0:
+            writer.writerow([end, ""])
+        else:
+            writer.writerow([end, repr(min(1.0, max(-1.0, float(np.dot(z_a, z_b) / (n_a * n_b)))))])
+    return buffer.getvalue().encode("utf-8")

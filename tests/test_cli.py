@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import similarity_csv_oracle
 from leadlag_fuse import cli
 from leadlag_fuse.cli import (
     EXIT_CONFIG,
@@ -208,20 +209,50 @@ class TestCliDispatch:
     def test_similarity_pairs_subset(self, workspace, tmp_path):
         root, config_path = workspace
         out = root / "pairs"
-        code = main(
-            [
-                "--config",
-                str(config_path),
-                "--out",
-                str(out),
-                "--quiet",
-                "--set",
-                'similarity_pairs=[["A00","A01"]]',
-                "run-all",
-            ]
-        )
+        base = ["--config", str(config_path), "--out", str(out), "--quiet"]
+        assert main([*base, "run-all"]) == EXIT_OK
+        assert len(list((out / "similarity").glob("*.csv"))) == 6
+        code = main([*base, "--set", 'similarity_pairs=[["A00","A01"]]', "run-all"])
         assert code == EXIT_OK
         assert sorted(p.name for p in (out / "similarity").glob("*.csv")) == ["A00_A01.csv"]
+
+    def test_postprocess_overwrites_longer_file_exactly(self, workspace):
+        root, config_path = workspace
+        out = root / "overwrite"
+        base = ["--config", str(config_path), "--out", str(out), "--quiet"]
+        assert main([*base, "run-all"]) == EXIT_OK
+        target = out / "similarity" / "A00_A01.csv"
+        fresh = target.read_bytes()
+        target.write_bytes(b"junk," * (2 * len(fresh)))
+        assert main([*base, "postprocess"]) == EXIT_OK
+        assert target.read_bytes() == fresh
+
+    def test_similarity_files_match_oracle(self, workspace):
+        root, config_path = workspace
+        out = root / "oracle"
+        base = ["--config", str(config_path), "--out", str(out), "--quiet"]
+        assert main([*base, "run-all"]) == EXIT_OK
+        embeddings = out / "embeddings.csv"
+        lines = embeddings.read_text(encoding="utf-8").splitlines(keepends=True)
+        ends = sorted({int(line.split(",")[1]) for line in lines[1:]})
+        edited = [lines[0]]
+        for line in lines[1:]:
+            asset, end, *z = line.rstrip("\r\n").split(",")
+            if (asset, int(end)) == ("A03", ends[1]):
+                continue  # a missing (asset, date)
+            if (asset, int(end)) == ("A02", ends[0]):
+                z = ["0.0"] * len(z)  # a zero-norm embedding
+            edited.append(",".join([asset, end, *z]) + "\r\n")
+        for stage_lines in (lines, edited):
+            embeddings.write_text("".join(stage_lines), encoding="utf-8")
+            assert main([*base, "postprocess"]) == EXIT_OK
+            files = sorted((out / "similarity").glob("*.csv"))
+            assert len(files) == 6
+            for path in files:
+                a, b = path.stem.split("_")
+                assert path.read_bytes() == similarity_csv_oracle(embeddings, a, b), path.name
+        assert f"{ends[0]},\r\n".encode() in (out / "similarity" / "A00_A02.csv").read_bytes()
+        assert str(ends[1]).encode() not in (out / "similarity" / "A00_A03.csv").read_bytes()
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import similarity_csv_oracle
 from leadlag_fuse.diffusion import node_features
 from leadlag_fuse.fusion import EmbeddingFrame
 from leadlag_fuse.leadlag import LagSpec
@@ -14,6 +15,7 @@ from leadlag_fuse.pipeline import (
     RunConfig,
     TrainingSettings,
     build_graphs,
+    cosine_matrix,
     cosine_similarity,
     link_count_summary,
     load_embeddings_csv,
@@ -23,9 +25,11 @@ from leadlag_fuse.pipeline import (
     select_window_ends,
     similarity_matrix,
     similarity_series,
+    similarity_series_batch,
     symmetric_eigh_jacobi,
     write_embeddings_csv,
     write_similarity_csv,
+    write_similarity_dir,
 )
 from leadlag_fuse.synthetic import SyntheticSpec, synthetic_panel
 
@@ -243,6 +247,62 @@ class TestSimilaritySeries:
         series = similarity_series(frame, ("X", "Y"))
         write_similarity_csv(series, tmp_path / "s.csv")
         assert (tmp_path / "s.csv").read_text().splitlines()[1] == "5,"
+
+
+class TestOneCosineKernel:
+    """cosine_similarity, similarity_matrix and the series read one kernel, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("dim", [3, 15, 16, 32])
+    def test_readers_are_bitwise_equal(self, dim):
+        rng = np.random.default_rng(dim)
+        n, ends = 13, (1, 2)  # 13 rows: an unpadded syrk rounded such blocks unlike 2-row ones
+        vectors = rng.standard_normal((n * len(ends), dim)) * rng.uniform(0.01, 100.0, (n * len(ends), 1))
+        vectors[::3] = np.maximum(vectors[::3], 0.0)  # rows like the encoder's nonnegative outputs
+        assets = tuple(f"A{i}" for i in range(n))
+        frame = frame_of(vectors, assets=assets * len(ends), ends=tuple(t for t in ends for _ in range(n)))
+        pairs = [(a, b) for i, a in enumerate(assets) for b in assets[i + 1 :]]
+        batch = similarity_series_batch(frame, pairs)
+        for d, end in enumerate(ends):
+            matrix = similarity_matrix(frame, end)
+            for (a, b), series in zip(pairs, batch):
+                i, j = assets.index(a), assets.index(b)
+                values = [
+                    cosine_similarity(frame.lookup(a, end), frame.lookup(b, end)),
+                    matrix[i, j],
+                    matrix[j, i],
+                    series.entries[d][1],
+                    similarity_series(frame, (a, b)).entries[d][1],
+                ]
+                assert len({float(v).hex() for v in values}) == 1, (dim, a, b, values)
+
+    def test_kernel_marks_zero_rows_and_keeps_unit_diagonal(self):
+        block = np.array([[1.0, 2.0, -3.0], [0.0, 0.0, 0.0], [-1.0, -2.0, 3.0]])
+        cos = cosine_matrix(block)
+        assert np.isnan(cos[1]).all() and np.isnan(cos[:, 1]).all()
+        assert cos[0, 0] == cos[2, 2] == 1.0
+        assert cos[0, 2] == cos[2, 0] == -1.0
+
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_files_match_per_pair_oracle(self, n, tmp_path):
+        # Row counts that are not a multiple of 8 are where an unpadded BLAS syrk rounded differently.
+        rng = np.random.default_rng(n)
+        vectors = np.maximum(rng.standard_normal((2 * n, 15)), 0.0) * rng.uniform(0.5, 20.0, (2 * n, 1))
+        assets = tuple(f"A{i:02d}" for i in range(n))
+        frame = frame_of(vectors, assets=assets * 2, ends=(1,) * n + (2,) * n)
+        write_embeddings_csv(frame, tmp_path / "embeddings.csv")
+        pairs = [(a, b) for i, a in enumerate(assets) for b in assets[i + 1 :]]
+        write_similarity_dir(similarity_series_batch(frame, pairs), tmp_path / "similarity")
+        for a, b in pairs:
+            written = (tmp_path / "similarity" / f"{a}_{b}.csv").read_bytes()
+            assert written == similarity_csv_oracle(tmp_path / "embeddings.csv", a, b), (a, b)
+
+    def test_batch_skips_missing_dates_per_pair(self):
+        vectors = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
+        frame = frame_of(vectors, assets=("X", "Y", "Z", "X", "Z"), ends=(1, 1, 1, 2, 2), universe=("X", "Y", "Z"))
+        xy, xz, yz = similarity_series_batch(frame, [("X", "Y"), ("X", "Z"), ("Y", "Z")])
+        assert [t for t, _ in xy.entries] == [1]
+        assert xz.entries == ((1, 0.0), (2, None))
+        assert [t for t, _ in yz.entries] == [1]
 
 
 class TestSimilarityMatrix:
