@@ -290,18 +290,7 @@ def stage_fuse(out_dir: Path, config: dict, graphs=None, usable_ends=None):
     model, report, frame = pipeline.fit(run_config, graphs, usable_ends)
     pipeline.write_embeddings_csv(frame, out_dir / "embeddings.csv")
     fusion.save_model(model, out_dir / "model.json")
-    payload = {
-        "stop_epoch": report.stop_epoch,
-        "stop_reason": report.stop_reason,
-        "best_epoch": report.best_epoch,
-        "best_val_loss": report.best_val_loss,
-        "split_seed": report.split_seed,
-        "config": report.config,
-        "train_losses": report.train_losses,
-        "val_losses": report.val_losses,
-        "embedding_count": len(frame),
-        "embedding_dim": frame.embedding_dim,
-    }
+    payload = {**asdict(report), "embedding_count": len(frame), "embedding_dim": frame.embedding_dim}
     _update_report(out_dir, "training", payload, config)
     logger.info("trained fusion model on %d samples; %d embeddings", report.config["n_samples"], len(frame))
     return frame

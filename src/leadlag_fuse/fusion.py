@@ -6,7 +6,8 @@ embedding. A mirrored shared decoder expands the embedding, its output is
 split into per-graph chunks, and per-graph decoders reconstruct the original
 rows. Training minimizes the mean of per-graph reconstruction MSEs with
 full-batch Adam, an optional validation split, and patience-based early
-stopping that restores the best validation weights.
+stopping that restores the best validation weights. The weights, gradients,
+Adam moments and best-epoch copy are float64 vectors in one layout.
 
 The training data is one (rows, graph_count, input_dim) float array; in the
 pipeline row ``d * n + a`` is asset ``a`` of ``n`` at usable date ``d``.
@@ -106,16 +107,16 @@ class TrainingSettings:
 
 @dataclass
 class TrainReport:
-    """Loss history and stopping metadata of one training run."""
+    """Loss history and stopping metadata of one training run; the defaults are those before epoch 1."""
 
-    train_losses: list[float]
-    val_losses: list[float]
-    stop_epoch: int
-    stop_reason: str
-    best_epoch: int
-    best_val_loss: float | None
     split_seed: int
     config: dict = field(default_factory=dict)
+    train_losses: list[float] = field(default_factory=list)
+    val_losses: list[float] = field(default_factory=list)
+    stop_epoch: int = 0
+    stop_reason: str = "max_epochs"
+    best_epoch: int = 0
+    best_val_loss: float | None = None
 
 
 class TrainingDiverged(RuntimeError):
@@ -125,7 +126,7 @@ class TrainingDiverged(RuntimeError):
 
 
 class FusionModel:
-    """The assembled autoencoder; parameters live in its component MLPs.
+    """The assembled autoencoder; its MLPs' layers are views into ``params``.
 
     Every batch method takes samples as one (batch, graph_count, input_dim)
     array: row ``i`` holds one node's feature row in each graph.
@@ -146,23 +147,17 @@ class FusionModel:
         # per-graph decoders end with an identity layer so reconstructions are unconstrained
         dec_acts = ["relu"] * (len(dec_dims) - 2) + ["identity"]
         self.graph_decoders = [neural.init_mlp(dec_dims, dec_acts, rng) for _ in range(n_graphs)]
-
-    # --- parameter plumbing -------------------------------------------------
+        # move every layer into one vector; the layers become views of it
+        mlps = self._mlps()
+        self.params = np.empty(sum(mlp.parameter_count for mlp in mlps))
+        for mlp, pairs in zip(mlps, neural.layer_views(mlps, self.params)):
+            for layer, (weight, bias) in zip(mlp.layers, pairs):
+                weight[:], bias[:] = layer.weight, layer.bias
+                layer.weight, layer.bias = weight, bias
 
     def _mlps(self) -> list[Mlp]:
+        """The MLPs in ``params`` order: graph encoders, shared encoder, shared decoder, graph decoders."""
         return [*self.graph_encoders, self.shared_encoder, self.shared_decoder, *self.graph_decoders]
-
-    def parameters(self) -> list[np.ndarray]:
-        return [p for mlp in self._mlps() for p in mlp.parameters()]
-
-    def snapshot(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.parameters()]
-
-    def restore(self, snapshot: Sequence[np.ndarray]) -> None:
-        for p, saved in zip(self.parameters(), snapshot):
-            p[:] = saved
-
-    # --- forward paths ------------------------------------------------------
 
     def _check_inputs(self, samples: np.ndarray) -> np.ndarray:
         arch = self.architecture
@@ -209,31 +204,24 @@ class FusionModel:
         x = self._check_inputs(samples)
         return self._loss(self._decode(self._encode(x)), x)
 
-    def loss_and_gradients(self, samples: np.ndarray) -> tuple[float, list[np.ndarray]]:
-        """Reconstruction loss and its gradient w.r.t. every parameter."""
+    def loss_and_gradients(self, samples: np.ndarray) -> tuple[float, np.ndarray]:
+        """Reconstruction loss and its gradient, one new vector laid out like ``params``."""
         x = self._check_inputs(samples)
         n = self.architecture.graph_count
         records: list[ForwardRecord] = []
         loss = self._loss(self._decode(self._encode(x, records), records), x)
-        enc_recs, (shared_enc_rec, shared_dec_rec), dec_recs = records[:n], records[n : n + 2], records[n + 2 :]
-
-        chunk_grads = []
-        dec_param_grads = []
-        for i, (rec, dec) in enumerate(zip(dec_recs, self.graph_decoders)):
-            g_out = mse_grad(rec.output, x[:, i, :]) / n
-            pg, g_in = backward(dec, rec, g_out)
-            dec_param_grads.append(pg)
-            chunk_grads.append(g_in)
-        shared_dec_pg, g_z = backward(self.shared_decoder, shared_dec_rec, np.concatenate(chunk_grads, axis=1))
-        shared_enc_pg, g_concat = backward(self.shared_encoder, shared_enc_rec, g_z)
-        per_graph_in_grads = np.split(g_concat, n, axis=1)
-        enc_param_grads = [
-            backward(enc, rec, g)[0]
-            for enc, rec, g in zip(self.graph_encoders, enc_recs, per_graph_in_grads)
+        grad = np.empty_like(self.params)
+        # records and gradient views both follow _mlps(): encoders, shared encoder, shared decoder, decoders
+        views = neural.layer_views(self._mlps(), grad)
+        chunk_grads = [
+            backward(dec, rec, mse_grad(rec.output, x[:, i, :]) / n, view)
+            for i, (dec, rec, view) in enumerate(zip(self.graph_decoders, records[n + 2 :], views[n + 2 :]))
         ]
-        # the order of parameters(): encoders, shared encoder, shared decoder, decoders
-        per_mlp = [*enc_param_grads, shared_enc_pg, shared_dec_pg, *dec_param_grads]
-        return loss, [g for pg in per_mlp for pair in pg for g in pair]
+        g_z = backward(self.shared_decoder, records[n + 1], np.concatenate(chunk_grads, axis=1), views[n + 1])
+        g_concat = backward(self.shared_encoder, records[n], g_z, views[n])
+        for enc, rec, g, view in zip(self.graph_encoders, records[:n], np.split(g_concat, n, axis=1), views[:n]):
+            backward(enc, rec, g, view)
+        return loss, grad
 
 
 def _output(mlp: Mlp, x: np.ndarray, records: list[ForwardRecord] | None) -> np.ndarray:
@@ -293,28 +281,22 @@ def train(
     val_inputs = x[val_idx] if n_val else None
 
     report = TrainReport(
-        train_losses=[],
-        val_losses=[],
-        stop_epoch=0,
-        stop_reason="max_epochs",
-        best_epoch=0,
-        best_val_loss=None,
         split_seed=split_seed,
         config={**asdict(settings), "n_samples": m, "n_train": int(m - n_val), "n_val": int(n_val)},
     )
 
-    params = model.parameters()
+    params = model.params
     optimizer = adam_init(params, learning_rate=settings.learning_rate)
-    best_snapshot = None
+    best = np.empty_like(params)
     best_val = np.inf
     stall = 0
     for epoch in range(1, settings.max_epochs + 1):
-        loss, grads = model.loss_and_gradients(train_inputs)
+        loss, grad = model.loss_and_gradients(train_inputs)
         if not np.isfinite(loss):
             report.stop_epoch = epoch
             report.stop_reason = "non_finite_loss"
             raise TrainingDiverged(f"non-finite training loss at epoch {epoch}", report)
-        adam_step(optimizer, params, grads)
+        adam_step(optimizer, params, grad)
         report.train_losses.append(loss)
         report.stop_epoch = epoch
         if val_inputs is None:
@@ -327,15 +309,15 @@ def train(
         if best_val - val_loss >= settings.min_delta:
             best_val = val_loss
             report.best_epoch = epoch
-            best_snapshot = model.snapshot()
+            best[:] = params
             stall = 0
         else:
             stall += 1
             if settings.patience is not None and stall >= settings.patience:
                 report.stop_reason = "early_stop"
                 break
-    if val_inputs is not None and best_snapshot is not None:
-        model.restore(best_snapshot)
+    if report.best_epoch > 0:
+        params[:] = best
         report.best_val_loss = float(best_val)
     logger.info(
         "training stopped at epoch %d (%s), best epoch %d",
@@ -439,8 +421,13 @@ def load_model(path: str | Path) -> FusionModel:
         embedding_dim=payload["architecture"]["embedding_dim"],
     )
     model = FusionModel(arch, seed=0)
-    model.graph_encoders = [neural.mlp_from_dict(d) for d in payload["graph_encoders"]]
-    model.shared_encoder = neural.mlp_from_dict(payload["shared_encoder"])
-    model.shared_decoder = neural.mlp_from_dict(payload["shared_decoder"])
-    model.graph_decoders = [neural.mlp_from_dict(d) for d in payload["graph_decoders"]]
+    shared = [payload["shared_encoder"], payload["shared_decoder"]]
+    saved = [neural.mlp_from_dict(d) for d in (*payload["graph_encoders"], *shared, *payload["graph_decoders"])]
+    plan = lambda mlps: [(mlp.dims, [layer.activation for layer in mlp.layers]) for mlp in mlps]
+    if plan(saved) != plan(model._mlps()):
+        raise ValueError(f"saved layers {plan(saved)} do not match the architecture's {plan(model._mlps())}")
+    for mlp, loaded in zip(model._mlps(), saved):
+        for layer, saved_layer in zip(mlp.layers, loaded.layers):
+            layer.weight[:] = saved_layer.weight
+            layer.bias[:] = saved_layer.bias
     return model

@@ -3,7 +3,8 @@
 Everything is double precision and deterministic: parameters come from a
 seeded generator, there is no minibatching, and the ReLU subgradient at 0 is
 defined as 0. Forward passes record every intermediate activation so that
-``backward`` can return exact gradients of the recorded computation.
+``backward`` can return exact gradients of the recorded computation. Only
+``layer_views`` knows the layout of a model's flat parameter vector.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "Mlp",
     "ForwardRecord",
     "init_mlp",
+    "layer_views",
     "forward",
     "backward",
     "mse",
@@ -72,12 +74,9 @@ class Mlp:
     def dims(self) -> tuple[int, ...]:
         return (self.layers[0].in_dim, *(layer.out_dim for layer in self.layers))
 
-    def parameters(self) -> list[np.ndarray]:
-        params: list[np.ndarray] = []
-        for layer in self.layers:
-            params.append(layer.weight)
-            params.append(layer.bias)
-        return params
+    @property
+    def parameter_count(self) -> int:
+        return sum(layer.weight.size + layer.bias.size for layer in self.layers)
 
 
 @dataclass
@@ -104,6 +103,27 @@ def init_mlp(dims: Sequence[int], activations: Sequence[str], seed_or_rng) -> Ml
         weight = rng.uniform(-bound, bound, size=(fan_out, fan_in))
         layers.append(DenseLayer(weight=weight, bias=np.zeros(fan_out), activation=act))
     return Mlp(layers=layers)
+
+
+def layer_views(mlps: Sequence[Mlp], buffer: np.ndarray) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """(weight, bias) views into ``buffer``, one list of layer pairs per MLP.
+
+    The layout: MLPs in the given order, their layers in order, each layer's
+    row-major (out, in) weight then its bias; ``buffer`` holds exactly that.
+    """
+    views, offset = [], 0
+    for mlp in mlps:
+        pairs = []
+        for layer in mlp.layers:
+            out_dim, in_dim = layer.weight.shape
+            weight = buffer[offset : offset + out_dim * in_dim].reshape(out_dim, in_dim)
+            offset += weight.size
+            pairs.append((weight, buffer[offset : offset + out_dim]))
+            offset += out_dim
+        views.append(pairs)
+    if offset != buffer.size:
+        raise ValueError(f"buffer holds {buffer.size} values, the layers {offset}")
+    return views
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
@@ -135,11 +155,13 @@ def backward(
     mlp: Mlp,
     record: ForwardRecord,
     output_grad: np.ndarray,
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    param_grads: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
     """Gradients of the recorded computation w.r.t. parameters and input.
 
-    Returns ([(dW, db) per layer], dL/dx). The record must come from a
-    matching ``forward`` call on the same network.
+    Writes each layer's (dW, db) into the matching pair of ``param_grads``,
+    one ``layer_views`` entry of a gradient vector, and returns dL/dx. The
+    record must come from a matching ``forward`` call on the same network.
     """
     if len(record.inputs) != len(mlp.layers) or len(record.pre_activations) != len(mlp.layers):
         raise ValueError("forward record does not match this network")
@@ -149,15 +171,14 @@ def backward(
     grad = np.asarray(output_grad, dtype=float)
     if grad.shape != record.output.shape:
         raise ValueError(f"output_grad shape {grad.shape} does not match output {record.output.shape}")
-    param_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(mlp.layers)  # type: ignore[list-item]
     for li in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[li]
+        d_weight, d_bias = param_grads[li]
         gz = grad * _activation_grad(record.pre_activations[li], layer.activation)
-        d_weight = gz.T @ record.inputs[li]
-        d_bias = gz.sum(axis=0)
+        np.matmul(gz.T, record.inputs[li], out=d_weight)
+        gz.sum(axis=0, out=d_bias)
         grad = gz @ layer.weight
-        param_grads[li] = (d_weight, d_bias)
-    return param_grads, grad
+    return grad
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -181,10 +202,10 @@ def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Per-parameter moment accumulators plus hyperparameters."""
+    """Moment vectors, laid out like the parameter vector, plus hyperparameters."""
 
-    first_moments: list[np.ndarray]
-    second_moments: list[np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step: int = 0
     learning_rate: float = 0.001
     beta1: float = 0.9
@@ -192,31 +213,31 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def adam_init(params: Sequence[np.ndarray], learning_rate: float = 0.001, **kwargs) -> AdamState:
+def adam_init(params: np.ndarray, learning_rate: float = 0.001, **kwargs) -> AdamState:
     return AdamState(
-        first_moments=[np.zeros_like(p) for p in params],
-        second_moments=[np.zeros_like(p) for p in params],
+        first_moment=np.zeros_like(params),
+        second_moment=np.zeros_like(params),
         learning_rate=learning_rate,
         **kwargs,
     )
 
 
-def adam_step(state: AdamState, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
-    if len(params) != len(state.first_moments) or len(grads) != len(params):
-        raise ValueError("params/grads do not match the optimizer state")
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {i} (max abs: {np.abs(g).max()})")
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
+    """One bias-corrected Adam update, applied to the vector ``params`` in place."""
+    if params.shape != state.first_moment.shape or grad.shape != params.shape:
+        raise ValueError(f"params {params.shape} / grad {grad.shape} do not match the optimizer state")
+    if not np.all(np.isfinite(grad)):
+        bad = np.flatnonzero(~np.isfinite(grad))
+        raise ValueError(f"non-finite gradient at {bad.size} entries, first at index {bad[0]}")
     state.step += 1
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
-    for p, g, m, v in zip(params, grads, state.first_moments, state.second_moments):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    m, v = state.first_moment, state.second_moment
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grad * grad)
+    params -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
 
 
 def mlp_to_dict(mlp: Mlp) -> dict:

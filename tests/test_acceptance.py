@@ -6,6 +6,7 @@ synthetic fixture (10 assets, 30 daily windows, 6 specs) executed twice
 through the CLI for the determinism check.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -261,8 +262,7 @@ def test_crit_09_fusion_gradient_check():
     arch = FusionArchitecture(graph_count=2, input_dim=5, per_graph_dims=(4, 3), shared_dims=(4,), embedding_dim=3)
     model = FusionModel(arch, seed=0)
     rng = np.random.default_rng(1000)
-    for p in model.parameters():
-        p += 0.05 * rng.standard_normal(p.shape)
+    model.params += 0.05 * rng.standard_normal(model.params.size)
     rows = np.stack([rng.random((2, 5)) + 0.05 for _ in range(3)])
     blocks = [rows[:, l, :] for l in range(2)]
 
@@ -277,9 +277,9 @@ def test_crit_09_fusion_gradient_check():
     )
     kink_free = min_pre > 1e-6
 
-    _, grads = model.loss_and_gradients(rows)
-    numeric = central_difference_grads(lambda: model.reconstruction_loss(rows), model.parameters(), h=1e-5)
-    worst = max_relative_error(grads, numeric, floor=1e-8)
+    _, grad = model.loss_and_gradients(rows)
+    numeric = central_difference_grads(lambda: model.reconstruction_loss(rows), [model.params], h=1e-5)
+    worst = max_relative_error([grad], numeric, floor=1e-8)
     ok = kink_free and worst < 1e-4
     report_line(9, "fusion-gradient-check", ok, f"min |preact| {min_pre:.1e}, max rel err {worst:.2e}")
     assert kink_free
@@ -316,6 +316,27 @@ def test_crit_11_determinism(fixture_run):
     ok = not mismatches
     report_line(11, "determinism", ok, f"{len(graph_files_1)} graph files byte-identical" if ok else f"mismatches: {mismatches[:3]}")
     assert ok, mismatches
+
+
+def test_fixture_artifacts_digest(fixture_run):
+    """The fixture run's artifacts are byte-identical to the pinned digest.
+
+    Same recipe as ``digest_tree`` in ``perfbench/run.py``: files sorted by
+    path, each hashed as relative POSIX path, NUL, bytes, NUL, with
+    ``report.json`` (timings) skipped. The value is specific to numpy 2.4.6
+    with scipy-openblas 0.3.31; another BLAS or numpy may round the matrix
+    products differently. A change that is meant to alter the artifacts
+    updates the value and says why.
+    """
+    run1 = fixture_run["run1"]
+    digest = hashlib.sha256()
+    files = sorted(p for p in run1.rglob("*") if p.is_file())
+    for path in files:
+        rel = path.relative_to(run1).as_posix()
+        if rel != "report.json":
+            digest.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert len(files) == 410
+    assert digest.hexdigest() == "436ca1441f6c2db2ab6852e037093819cc0907f0289f227f2225391ec48a2c81"
 
 
 def test_crit_12_pca():

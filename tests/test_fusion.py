@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -84,13 +86,11 @@ class TestEncodeDecode:
         arch = FusionArchitecture(graph_count=2, input_dim=4, per_graph_dims=(3,), shared_dims=(), embedding_dim=2)
         model = FusionModel(arch, seed=9)
         rng = np.random.default_rng(10)
-        for p in model.parameters():
-            p += 0.1 * rng.standard_normal(p.shape)
+        model.params += 0.1 * rng.standard_normal(model.params.size)
         sample = rng.random((1, 2, 4))
 
         permuted = FusionModel(arch, seed=9)
-        for dst, src in zip(permuted.parameters(), model.parameters()):
-            dst[:] = src
+        permuted.params[:] = model.params
         permuted.graph_encoders = [permuted.graph_encoders[1], permuted.graph_encoders[0]]
         swapped_sample = sample[:, ::-1].copy()
 
@@ -124,14 +124,12 @@ class TestReconstructionLoss:
     def test_perfect_reconstruction_is_zero(self):
         model = FusionModel(TINY, seed=6)
         # zero-weight model reconstructs zero inputs exactly
-        for p in model.parameters():
-            p[:] = 0.0
+        model.params[:] = 0.0
         assert model.reconstruction_loss(np.zeros((1, 2, 5))) == 0.0
 
     def test_mean_over_graphs(self):
         model = FusionModel(TINY, seed=7)
-        for p in model.parameters():
-            p[:] = 0.0  # reconstructions are all zero
+        model.params[:] = 0.0  # reconstructions are all zero
         rows = np.stack([np.full(5, np.sqrt(2.0)), np.full(5, 2.0)])
         # per-graph MSEs are 2.0 and 4.0, so the fused loss is their mean
         assert model.reconstruction_loss(rows[np.newaxis]) == pytest.approx(3.0, abs=1e-15)
@@ -149,8 +147,7 @@ class TestGradients:
     def test_fusion_gradients_match_finite_differences(self):
         model = FusionModel(TINY, seed=0)
         rng = np.random.default_rng(1000)
-        for p in model.parameters():
-            p += 0.05 * rng.standard_normal(p.shape)
+        model.params += 0.05 * rng.standard_normal(model.params.size)
         samples = rng.random((3, 2, 5)) + 0.05
         blocks = [samples[:, g, :] for g in range(2)]
 
@@ -163,9 +160,9 @@ class TestGradients:
         pre = [z for r in records + [ser, sdr] + dec_recs for z in r.pre_activations]
         assert min(np.abs(z).min() for z in pre) > 1e-6  # away from ReLU kinks
 
-        _, grads = model.loss_and_gradients(samples)
-        numeric = central_difference_grads(lambda: model.reconstruction_loss(samples), model.parameters(), h=1e-5)
-        assert max_relative_error(grads, numeric, floor=1e-8) < 1e-4
+        _, grad = model.loss_and_gradients(samples)
+        numeric = central_difference_grads(lambda: model.reconstruction_loss(samples), [model.params], h=1e-5)
+        assert max_relative_error([grad], numeric, floor=1e-8) < 1e-4
 
 
 class TestTrain:
@@ -216,6 +213,10 @@ class TestTrain:
         # best is tracked with min_delta slack, so it sits within that of the minimum
         assert report.best_val_loss <= min(report.val_losses) + 1e-6
         assert report.best_val_loss <= report.val_losses[0]
+        # the model holds the best epoch's weights, not the last epoch's
+        perm = np.random.default_rng(3).permutation(len(samples))
+        val_rows = samples[perm[len(samples) - report.config["n_val"] :]]
+        assert model.reconstruction_loss(val_rows) == report.best_val_loss
 
     def test_split_requires_ten_samples(self):
         model = FusionModel(TINY, seed=14)
@@ -282,6 +283,25 @@ class TestEmbeddings:
         save_model(model, tmp_path / "model.json")
         loaded = load_model(tmp_path / "model.json")
         assert np.array_equal(model.encode_batch(samples), loaded.encode_batch(samples))
+        assert np.array_equal(loaded.params, model.params)
+        for m in (model, loaded):
+            for mlp in m._mlps():
+                for layer in mlp.layers:
+                    assert np.shares_memory(layer.weight, m.params)
+                    assert np.shares_memory(layer.bias, m.params)
+
+    @pytest.mark.parametrize("edit", ["input_dim", "extra_encoder"])
+    def test_checkpoint_layers_must_match_architecture(self, tmp_path, edit):
+        arch = FusionArchitecture(graph_count=2, input_dim=6, per_graph_dims=(4, 3), shared_dims=(4,), embedding_dim=3)
+        save_model(FusionModel(arch, seed=22), tmp_path / "model.json")
+        payload = json.loads((tmp_path / "model.json").read_text())
+        if edit == "input_dim":
+            payload["architecture"]["input_dim"] = 5
+        else:
+            payload["graph_encoders"].append(payload["graph_encoders"][0])
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="do not match"):
+            load_model(tmp_path / "model.json")
 
     def test_frame_validation(self):
         with pytest.raises(ValueError, match="matching"):

@@ -12,6 +12,7 @@ from leadlag_fuse.neural import (
     backward,
     forward,
     init_mlp,
+    layer_views,
     mlp_from_dict,
     mlp_to_dict,
     mse,
@@ -50,12 +51,18 @@ class TestForward:
             forward(mlp, np.zeros((4, 5)))
 
 
+def gradient_views(mlp):
+    """Per-layer (dW, db) views of a new gradient vector for ``mlp``."""
+    return layer_views([mlp], np.empty(mlp.parameter_count))[0]
+
+
 class TestBackward:
     def test_zero_gradient_at_optimum(self):
         mlp = init_mlp([3, 2], ["identity"], 1)
         x = np.random.default_rng(2).standard_normal((5, 3))
         record = forward(mlp, x)
-        grads, _ = backward(mlp, record, mse_grad(record.output, record.output))
+        grads = gradient_views(mlp)
+        backward(mlp, record, mse_grad(record.output, record.output), grads)
         for dw, db in grads:
             assert np.all(dw == 0.0)
             assert np.all(db == 0.0)
@@ -65,7 +72,8 @@ class TestBackward:
         x_val, target = 0.8, 0.3
         mlp = Mlp([DenseLayer(weight=np.array([[w]]), bias=np.zeros(1), activation="identity")])
         record = forward(mlp, np.array([[x_val]]))
-        grads, _ = backward(mlp, record, mse_grad(record.output, np.array([[target]])))
+        grads = gradient_views(mlp)
+        backward(mlp, record, mse_grad(record.output, np.array([[target]])), grads)
         assert grads[0][0][0, 0] == pytest.approx(2.0 * (w * x_val - target) * x_val, abs=1e-14)
 
     def test_three_layer_against_finite_differences(self):
@@ -75,13 +83,15 @@ class TestBackward:
         target = rng.standard_normal((7, 3))
         record = forward(mlp, x)
         assert min(np.abs(z).min() for z in record.pre_activations) > 1e-6  # away from kinks
-        grads, _ = backward(mlp, record, mse_grad(record.output, target))
+        grads = gradient_views(mlp)
+        backward(mlp, record, mse_grad(record.output, target), grads)
         flat = [g for pair in grads for g in pair]
 
         def loss():
             return mse(forward(mlp, x).output, target)
 
-        numeric = central_difference_grads(loss, mlp.parameters(), h=1e-5)
+        params = [p for layer in mlp.layers for p in (layer.weight, layer.bias)]
+        numeric = central_difference_grads(loss, params, h=1e-5)
         assert max_relative_error(flat, numeric, floor=1e-6) < 1e-6
 
     def test_stale_record_rejected(self):
@@ -89,7 +99,7 @@ class TestBackward:
         mlp_b = init_mlp([3, 5, 2], ["relu", "identity"], 4)
         record = forward(mlp_a, np.zeros((2, 3)))
         with pytest.raises(ValueError, match="record"):
-            backward(mlp_b, record, np.zeros((2, 2)))
+            backward(mlp_b, record, np.zeros((2, 2)), gradient_views(mlp_b))
 
 
 class TestMse:
@@ -111,35 +121,35 @@ class TestMse:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, -2.0])]
+        params = np.array([1.0, -2.0])
         state = adam_init(params)
-        adam_step(state, params, [np.zeros(2)])
-        assert np.array_equal(params[0], np.array([1.0, -2.0]))
+        adam_step(state, params, np.zeros(2))
+        assert np.array_equal(params, np.array([1.0, -2.0]))
         assert state.step == 1
 
     def test_first_step_magnitude(self):
-        params = [np.array([1.0, -2.0, 0.5])]
+        params = np.array([1.0, -2.0, 0.5])
         state = adam_init(params, learning_rate=0.001)
-        before = params[0].copy()
-        adam_step(state, params, [np.array([0.3, -4.0, 0.001])])
-        delta = before - params[0]
+        before = params.copy()
+        adam_step(state, params, np.array([0.3, -4.0, 0.001]))
+        delta = before - params
         assert np.allclose(delta, 0.001 * np.sign([0.3, -4.0, 0.001]), atol=1e-5)
 
     def test_quadratic_descent_is_monotone(self):
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = adam_init(params, learning_rate=0.05)
         losses = []
         for _ in range(50):
-            adam_step(state, params, [2.0 * (params[0] - 3.0)])
-            losses.append(float((params[0][0] - 3.0) ** 2))
+            adam_step(state, params, 2.0 * (params - 3.0))
+            losses.append(float((params[0] - 3.0) ** 2))
         assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
         assert losses[-1] < 1.0  # moved most of the way to the optimum
 
     def test_non_finite_gradient_rejected(self):
-        params = [np.zeros(2)]
+        params = np.zeros(2)
         state = adam_init(params)
         with pytest.raises(ValueError, match="non-finite"):
-            adam_step(state, params, [np.array([np.nan, 0.0])])
+            adam_step(state, params, np.array([np.nan, 0.0]))
 
 
 class TestInit:
