@@ -4,13 +4,15 @@ Each graph's PPMI row for a node passes through its own encoder; the encoder
 outputs are concatenated and compressed by a shared encoder into the fused
 embedding. A mirrored shared decoder expands the embedding, its output is
 split into per-graph chunks, and per-graph decoders reconstruct the original
-rows. Training minimizes the mean of per-graph reconstruction MSEs with
+rows; the G encoders and the G decoders are each one MLP of G stacked copies.
+Training minimizes the mean of per-graph reconstruction MSEs with
 full-batch Adam, an optional validation split, and patience-based early
 stopping that restores the best validation weights. The weights, gradients,
 Adam moments and best-epoch copy are float64 vectors in one layout.
 
-The training data is one (rows, graph_count, input_dim) float array; in the
-pipeline row ``d * n + a`` is asset ``a`` of ``n`` at usable date ``d``.
+The training data is one graph-major (graph_count, rows, input_dim) float
+array; in the pipeline row ``d * n + a`` is asset ``a`` of ``n`` at usable
+date ``d``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import neural
-from .neural import ForwardRecord, Mlp, adam_init, adam_step, backward, forward, mse, mse_grad
+from .neural import ForwardRecord, Mlp, adam_init, adam_step, backward, forward
 
 logger = logging.getLogger(__name__)
 
@@ -128,25 +130,26 @@ class TrainingDiverged(RuntimeError):
 class FusionModel:
     """The assembled autoencoder; its MLPs' layers are views into ``params``.
 
-    Every batch method takes samples as one (batch, graph_count, input_dim)
-    array: row ``i`` holds one node's feature row in each graph.
+    Every batch method takes samples as one graph-major (graph_count, batch,
+    input_dim) array: column ``i`` of graph ``g`` holds node ``i``'s feature
+    row in graph ``g``. ``graph_encoder`` and ``graph_decoder`` stack one copy
+    per graph; the shared encoder and decoder are single copies.
     """
 
     def __init__(self, architecture: FusionArchitecture, seed: int = 0):
         self.architecture = architecture
-        rng = np.random.default_rng(seed)
-        n_graphs = architecture.graph_count
+        rng, n_graphs = np.random.default_rng(seed), architecture.graph_count
         enc_dims = architecture.per_graph_encoder_dims()
         dec_dims = architecture.per_graph_decoder_dims()
         shared_enc = architecture.shared_encoder_dims()
         shared_dec = architecture.shared_decoder_dims()
         relu = lambda dims: ["relu"] * (len(dims) - 1)
-        self.graph_encoders = [neural.init_mlp(enc_dims, relu(enc_dims), rng) for _ in range(n_graphs)]
+        self.graph_encoder = neural.init_mlp(enc_dims, relu(enc_dims), rng, count=n_graphs)
         self.shared_encoder = neural.init_mlp(shared_enc, relu(shared_enc), rng)
         self.shared_decoder = neural.init_mlp(shared_dec, relu(shared_dec), rng)
         # per-graph decoders end with an identity layer so reconstructions are unconstrained
         dec_acts = ["relu"] * (len(dec_dims) - 2) + ["identity"]
-        self.graph_decoders = [neural.init_mlp(dec_dims, dec_acts, rng) for _ in range(n_graphs)]
+        self.graph_decoder = neural.init_mlp(dec_dims, dec_acts, rng, count=n_graphs)
         # move every layer into one vector; the layers become views of it
         mlps = self._mlps()
         self.params = np.empty(sum(mlp.parameter_count for mlp in mlps))
@@ -157,31 +160,37 @@ class FusionModel:
 
     def _mlps(self) -> list[Mlp]:
         """The MLPs in ``params`` order: graph encoders, shared encoder, shared decoder, graph decoders."""
-        return [*self.graph_encoders, self.shared_encoder, self.shared_decoder, *self.graph_decoders]
+        return [self.graph_encoder, self.shared_encoder, self.shared_decoder, self.graph_decoder]
 
     def _check_inputs(self, samples: np.ndarray) -> np.ndarray:
         arch = self.architecture
         x = np.asarray(samples, dtype=float)
-        if x.ndim != 3 or x.shape[1:] != (arch.graph_count, arch.input_dim):
+        if x.ndim != 3 or x.shape[::2] != (arch.graph_count, arch.input_dim):
             raise ValueError(
-                f"samples have shape {x.shape}, expected (batch, {arch.graph_count}, {arch.input_dim})"
+                f"samples have shape {x.shape}, expected ({arch.graph_count}, batch, {arch.input_dim})"
             )
         return x
 
     def _encode(self, x: np.ndarray, records: list[ForwardRecord] | None = None) -> np.ndarray:
-        """Fused embeddings z of a checked sample array."""
-        encoded = [_output(enc, x[:, g, :], records) for g, enc in enumerate(self.graph_encoders)]
-        return _output(self.shared_encoder, np.concatenate(encoded, axis=1), records)
+        """Fused embeddings z, (1, batch, embedding_dim), of a checked sample array."""
+        return _output(self.shared_encoder, _joined(_output(self.graph_encoder, x, records)), records)
 
-    def _decode(self, z: np.ndarray, records: list[ForwardRecord] | None = None) -> list[np.ndarray]:
-        """Per-graph reconstructions of embeddings z."""
+    def _decode(self, z: np.ndarray, records: list[ForwardRecord] | None = None) -> np.ndarray:
+        """Reconstructions (G, batch, input_dim) of embeddings z, (1, batch, embedding_dim)."""
         expanded = _output(self.shared_decoder, z, records)
-        chunks = np.split(expanded, self.architecture.graph_count, axis=1)
-        return [_output(dec, c, records) for dec, c in zip(self.graph_decoders, chunks)]
+        return _output(self.graph_decoder, _graph_chunks(expanded, self.architecture.graph_count), records)
 
-    def _loss(self, recons: Sequence[np.ndarray], x: np.ndarray) -> float:
-        """Mean over graphs of the reconstruction MSE across the whole batch."""
-        return sum(mse(r, x[:, g, :]) for g, r in enumerate(recons)) / len(recons)
+    def _loss(self, x: np.ndarray, records: list[ForwardRecord] | None = None) -> tuple[float, np.ndarray]:
+        """Mean over graphs of the batch's reconstruction MSE, and the residual recon - x.
+
+        The residual is formed in the graph decoder's output buffer (its last
+        layer is the identity) and squared one graph at a time: squaring the
+        whole stack would hold a second (G, batch, input_dim) array, 4 MB on
+        the wide benchmark workload.
+        """
+        residual = self._decode(self._encode(x, records), records)
+        residual -= x
+        return sum(float(np.mean(r * r)) for r in residual) / len(residual), residual
 
     def encode_batch(self, samples: np.ndarray) -> np.ndarray:
         """Fused embeddings (batch, embedding_dim).
@@ -191,37 +200,47 @@ class FusionModel:
         another batch can differ by ~1e-16 from the same row in
         ``extract_embeddings``.
         """
-        return self._encode(self._check_inputs(samples))
+        return self._encode(self._check_inputs(samples))[0]
 
     def decode_batch(self, z: np.ndarray) -> np.ndarray:
-        """Reconstructions (batch, graph_count, input_dim) of embeddings z."""
+        """Reconstructions (graph_count, batch, input_dim) of embeddings z, (batch, embedding_dim)."""
         z = np.asarray(z, dtype=float)
         if z.ndim != 2 or z.shape[1] != self.architecture.embedding_dim:
             raise ValueError(f"z has shape {z.shape}, expected (batch, {self.architecture.embedding_dim})")
-        return np.stack(self._decode(z), axis=1)
+        return self._decode(z[np.newaxis])
 
     def reconstruction_loss(self, samples: np.ndarray) -> float:
-        x = self._check_inputs(samples)
-        return self._loss(self._decode(self._encode(x)), x)
+        return self._loss(self._check_inputs(samples))[0]
 
     def loss_and_gradients(self, samples: np.ndarray) -> tuple[float, np.ndarray]:
         """Reconstruction loss and its gradient, one new vector laid out like ``params``."""
         x = self._check_inputs(samples)
-        n = self.architecture.graph_count
         records: list[ForwardRecord] = []
-        loss = self._loss(self._decode(self._encode(x, records), records), x)
+        loss, residual = self._loss(x, records)
+        # dL/drecon in place: 2 (recon - x) / (batch * input_dim) / G, in that order of operations
+        residual *= 2.0
+        residual /= residual[0].size
+        residual /= len(residual)
         grad = np.empty_like(self.params)
-        # records and gradient views both follow _mlps(): encoders, shared encoder, shared decoder, decoders
-        views = neural.layer_views(self._mlps(), grad)
-        chunk_grads = [
-            backward(dec, rec, mse_grad(rec.output, x[:, i, :]) / n, view)
-            for i, (dec, rec, view) in enumerate(zip(self.graph_decoders, records[n + 2 :], views[n + 2 :]))
-        ]
-        g_z = backward(self.shared_decoder, records[n + 1], np.concatenate(chunk_grads, axis=1), views[n + 1])
-        g_concat = backward(self.shared_encoder, records[n], g_z, views[n])
-        for enc, rec, g, view in zip(self.graph_encoders, records[:n], np.split(g_concat, n, axis=1), views[:n]):
-            backward(enc, rec, g, view)
+        enc_rec, shared_enc_rec, shared_dec_rec, dec_rec = records
+        enc_grads, shared_enc_grads, shared_dec_grads, dec_grads = neural.layer_views(self._mlps(), grad)
+        g_chunks = backward(self.graph_decoder, dec_rec, residual, dec_grads)
+        g_z = backward(self.shared_decoder, shared_dec_rec, _joined(g_chunks), shared_dec_grads)
+        g_concat = backward(self.shared_encoder, shared_enc_rec, g_z, shared_enc_grads)
+        backward(self.graph_encoder, enc_rec, _graph_chunks(g_concat, len(x)), enc_grads, input_grad=False)
         return loss, grad
+
+
+def _joined(chunks: np.ndarray) -> np.ndarray:
+    """The G feature chunks of a (G, batch, k) array, concatenated into a new (1, batch, G * k) array."""
+    graphs, batch, width = chunks.shape
+    return chunks.transpose(1, 0, 2).reshape(1, batch, graphs * width)
+
+
+def _graph_chunks(joined: np.ndarray, graph_count: int) -> np.ndarray:
+    """The (G, batch, k) view of the G feature chunks of a (1, batch, G * k) array."""
+    _, batch, width = joined.shape
+    return joined.reshape(batch, graph_count, width // graph_count).transpose(1, 0, 2)
 
 
 def _output(mlp: Mlp, x: np.ndarray, records: list[ForwardRecord] | None) -> np.ndarray:
@@ -239,7 +258,7 @@ def _output(mlp: Mlp, x: np.ndarray, records: list[ForwardRecord] | None) -> np.
 def _check_samples(model: FusionModel, samples: np.ndarray) -> np.ndarray:
     """The sample array where it enters training or embedding: shaped, nonempty, nonnegative."""
     x = model._check_inputs(samples)
-    if x.shape[0] == 0:
+    if x.shape[1] == 0:
         raise ValueError("need at least one sample")
     if np.any(x < 0.0):
         raise ValueError("feature rows must be nonnegative")
@@ -254,8 +273,8 @@ def train(
 ) -> TrainReport:
     """Full-batch Adam training with a seeded split and early stopping.
 
-    ``samples`` is one (rows, graph_count, input_dim) array of nonnegative
-    feature rows. Rows are shuffled with ``split_seed`` and split
+    ``samples`` is one graph-major (graph_count, rows, input_dim) array of
+    nonnegative feature rows. Rows are shuffled with ``split_seed`` and split
     train/validation by ``settings.validation_fraction`` (default 70/30).
     Training stops at ``max_epochs`` or once the validation loss has not
     improved by at least ``min_delta`` for ``patience`` consecutive epochs;
@@ -265,7 +284,7 @@ def train(
     """
     x = _check_samples(model, samples)
     validation_fraction = settings.validation_fraction
-    m = x.shape[0]
+    m = x.shape[1]
     if not 0.0 <= validation_fraction < 1.0:
         raise ValueError(f"validation_fraction must lie in [0, 1), got {validation_fraction}")
     if validation_fraction > 0.0 and m < 10:
@@ -277,8 +296,9 @@ def train(
     if validation_fraction > 0.0:
         n_val = min(max(n_val, 1), m - 1)
     train_idx, val_idx = perm[: m - n_val], perm[m - n_val :]
-    train_inputs = x[train_idx]
-    val_inputs = x[val_idx] if n_val else None
+    # np.take keeps the rows contiguous per graph; x[:, idx] would not
+    train_inputs = np.take(x, train_idx, axis=1)
+    val_inputs = np.take(x, val_idx, axis=1) if n_val else None
 
     report = TrainReport(
         split_seed=split_seed,
@@ -375,8 +395,8 @@ def extract_embeddings(
     """One embedding per sample row; row ``d * len(universe) + a`` is asset ``a`` at date ``d``."""
     x = _check_samples(model, samples)
     n = len(universe)
-    if x.shape[0] != len(window_ends) * n:
-        raise ValueError(f"{x.shape[0]} sample rows, expected {len(window_ends)} dates x {n} assets")
+    if x.shape[1] != len(window_ends) * n:
+        raise ValueError(f"{x.shape[1]} sample rows, expected {len(window_ends)} dates x {n} assets")
     return EmbeddingFrame(
         asset_ids=tuple(universe) * len(window_ends),
         window_ends=tuple(t for t in window_ends for _ in range(n)),
@@ -386,20 +406,13 @@ def extract_embeddings(
 
 
 def save_model(model: FusionModel, path: str | Path) -> None:
-    arch = model.architecture
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
-        "architecture": {
-            "graph_count": arch.graph_count,
-            "input_dim": arch.input_dim,
-            "per_graph_dims": list(arch.per_graph_dims),
-            "shared_dims": list(arch.shared_dims),
-            "embedding_dim": arch.embedding_dim,
-        },
-        "graph_encoders": [neural.mlp_to_dict(m) for m in model.graph_encoders],
-        "shared_encoder": neural.mlp_to_dict(model.shared_encoder),
-        "shared_decoder": neural.mlp_to_dict(model.shared_decoder),
-        "graph_decoders": [neural.mlp_to_dict(m) for m in model.graph_decoders],
+        "architecture": asdict(model.architecture),
+        "graph_encoders": neural.mlp_to_dicts(model.graph_encoder),
+        "shared_encoder": neural.mlp_to_dicts(model.shared_encoder)[0],
+        "shared_decoder": neural.mlp_to_dicts(model.shared_decoder)[0],
+        "graph_decoders": neural.mlp_to_dicts(model.graph_decoder),
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -413,17 +426,10 @@ def load_model(path: str | Path) -> FusionModel:
         payload = json.load(fh)
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {payload.get('format_version')}")
-    arch = FusionArchitecture(
-        graph_count=payload["architecture"]["graph_count"],
-        input_dim=payload["architecture"]["input_dim"],
-        per_graph_dims=tuple(payload["architecture"]["per_graph_dims"]),
-        shared_dims=tuple(payload["architecture"]["shared_dims"]),
-        embedding_dim=payload["architecture"]["embedding_dim"],
-    )
-    model = FusionModel(arch, seed=0)
-    shared = [payload["shared_encoder"], payload["shared_decoder"]]
-    saved = [neural.mlp_from_dict(d) for d in (*payload["graph_encoders"], *shared, *payload["graph_decoders"])]
-    plan = lambda mlps: [(mlp.dims, [layer.activation for layer in mlp.layers]) for mlp in mlps]
+    model = FusionModel(FusionArchitecture(**payload["architecture"]), seed=0)
+    shared = [payload["shared_encoder"]], [payload["shared_decoder"]]
+    saved = [neural.mlp_from_dicts(d) for d in (payload["graph_encoders"], *shared, payload["graph_decoders"])]
+    plan = lambda mlps: [(mlp.count, mlp.dims, [layer.activation for layer in mlp.layers]) for mlp in mlps]
     if plan(saved) != plan(model._mlps()):
         raise ValueError(f"saved layers {plan(saved)} do not match the architecture's {plan(model._mlps())}")
     for mlp, loaded in zip(model._mlps(), saved):

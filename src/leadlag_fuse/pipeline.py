@@ -269,20 +269,20 @@ def samples_from_graphs(
     usable_ends: Sequence[int],
     rwr_cfg: RwrConfig,
 ) -> np.ndarray:
-    """The (dates * n, specs, n) sample array of ``fusion.train``.
+    """The graph-major (specs, dates * n, n) sample array of ``fusion.train``.
 
-    Row ``d * n + a`` holds asset ``a``'s PPMI row in each spec's graph at
-    ``usable_ends[d]``.
+    Row ``d * n + a`` of spec ``k`` holds asset ``a``'s PPMI row in spec
+    ``k``'s graph at ``usable_ends[d]``.
     """
     by_key = {(g.spec.tag, g.window_end): g for g in graphs}
     n = len(graphs[0].assets)
-    samples = np.empty((len(usable_ends) * n, len(specs), n))
+    samples = np.empty((len(specs), len(usable_ends) * n, n))
     for d, end in enumerate(usable_ends):
         for k, spec in enumerate(specs):
             graph = by_key.get((spec.tag, end))
             if graph is None:
                 raise ValueError(f"missing graph for spec {spec.tag} at window end {end}")
-            samples[d * n : (d + 1) * n, k] = node_features(graph.adjacency, rwr_cfg, f"{spec.tag}@{end}").ppmi
+            samples[k, d * n : (d + 1) * n] = node_features(graph.adjacency, rwr_cfg, f"{spec.tag}@{end}").ppmi
     return samples
 
 

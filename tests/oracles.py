@@ -4,7 +4,8 @@ These deliberately avoid the library's own vectorized paths: the MI oracle is
 a pure-python double loop over the contingency table, the RWR oracle applies
 the restart recurrence one scalar at a time, and the finite-difference helper
 perturbs one parameter entry at a time; the similarity oracle takes one
-``np.dot`` per pair and date and writes with ``csv.writer``.
+``np.dot`` per pair and date and writes with ``csv.writer``; the fusion oracle
+runs the autoencoder graph by graph with one 2-D product per graph and layer.
 """
 
 from __future__ import annotations
@@ -110,3 +111,55 @@ def similarity_csv_oracle(embeddings_csv, a: str, b: str) -> bytes:
         else:
             writer.writerow([end, repr(min(1.0, max(-1.0, float(np.dot(z_a, z_b) / (n_a * n_b)))))])
     return buffer.getvalue().encode("utf-8")
+
+
+def _copy_forward(layers, c, h):
+    """Inputs, pre-activations and output of copy ``c`` of a layer list on a 2-D batch."""
+    inputs, pre = [], []
+    for layer in layers:
+        inputs.append(h)
+        z = h @ layer.weight[c].T + layer.bias[c]
+        pre.append(z)
+        h = np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return inputs, pre, h
+
+
+def _copy_backward(layers, c, inputs, pre, g, grads):
+    """Write copy ``c``'s (dW, db) into ``grads`` and return dL/dx."""
+    for li in range(len(layers) - 1, -1, -1):
+        gz = g * (pre[li] > 0.0).astype(float) if layers[li].activation == "relu" else g
+        grads[li][0][c] = gz.T @ inputs[li]
+        grads[li][1][c] = gz.sum(axis=0)
+        g = gz @ layers[li].weight[c]
+    return g
+
+
+def fusion_loop_oracle(model, x):
+    """(loss, grads, z) of a ``FusionModel`` on graph-major samples, composed graph by graph.
+
+    Graph ``g``'s rows run through copy ``g`` of the graph encoder as
+    ``x[g] @ W[g].T + b[g]``; the outputs are concatenated for the shared layers,
+    and the shared decoder's output is split into per-graph chunks for the graph
+    decoder. The loss is the mean over graphs of each graph's MSE. ``grads``
+    follows ``model._mlps()``: per MLP and layer, a (dW, db) pair of stacks.
+    """
+    enc, shared_enc, shared_dec, dec = (mlp.layers for mlp in model._mlps())
+    graphs = len(x)
+    enc_runs = [_copy_forward(enc, g, x[g]) for g in range(graphs)]
+    se = _copy_forward(shared_enc, 0, np.concatenate([run[2] for run in enc_runs], axis=1))
+    sd = _copy_forward(shared_dec, 0, se[2])
+    dec_runs = [_copy_forward(dec, g, chunk) for g, chunk in enumerate(np.split(sd[2], graphs, axis=1))]
+    diffs = [run[2] - x[g] for g, run in enumerate(dec_runs)]
+    loss = sum(float(np.mean(d * d)) for d in diffs) / graphs
+
+    grads = [
+        [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in layers] for layers in (enc, shared_enc, shared_dec, dec)
+    ]
+    chunk_grads = [
+        _copy_backward(dec, g, *dec_runs[g][:2], 2.0 * d / d.size / graphs, grads[3]) for g, d in enumerate(diffs)
+    ]
+    g_z = _copy_backward(shared_dec, 0, *sd[:2], np.concatenate(chunk_grads, axis=1), grads[2])
+    g_concat = _copy_backward(shared_enc, 0, *se[:2], g_z, grads[1])
+    for g, chunk in enumerate(np.split(g_concat, graphs, axis=1)):
+        _copy_backward(enc, g, *enc_runs[g][:2], chunk, grads[0])
+    return loss, grads, se[2]

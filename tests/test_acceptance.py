@@ -263,18 +263,15 @@ def test_crit_09_fusion_gradient_check():
     model = FusionModel(arch, seed=0)
     rng = np.random.default_rng(1000)
     model.params += 0.05 * rng.standard_normal(model.params.size)
-    rows = np.stack([rng.random((2, 5)) + 0.05 for _ in range(3)])
-    blocks = [rows[:, l, :] for l in range(2)]
+    rows = np.stack([rng.random((2, 5)) + 0.05 for _ in range(3)], axis=1)  # graph-major
 
-    records = [neural.forward(e, b) for e, b in zip(model.graph_encoders, blocks)]
-    concat = np.concatenate([r.output for r in records], axis=1)
+    enc = neural.forward(model.graph_encoder, rows)
+    concat = np.concatenate(list(enc.output), axis=1)[np.newaxis]
     ser = neural.forward(model.shared_encoder, concat)
     sdr = neural.forward(model.shared_decoder, ser.output)
-    chunks = np.split(sdr.output, 2, axis=1)
-    dec_recs = [neural.forward(d, c) for d, c in zip(model.graph_decoders, chunks)]
-    min_pre = min(
-        float(np.abs(z).min()) for r in records + [ser, sdr] + dec_recs for z in r.pre_activations
-    )
+    chunks = np.stack(np.split(sdr.output[0], 2, axis=1))
+    dec = neural.forward(model.graph_decoder, chunks)
+    min_pre = min(float(np.abs(z).min()) for r in (enc, ser, sdr, dec) for z in r.pre_activations)
     kink_free = min_pre > 1e-6
 
     _, grad = model.loss_and_gradients(rows)
@@ -290,7 +287,7 @@ def test_crit_10_overfit_capacity():
     rng = np.random.default_rng(21)
     arch = FusionArchitecture(graph_count=2, input_dim=6, per_graph_dims=(25, 10), shared_dims=(30,), embedding_dim=15)
     model = FusionModel(arch, seed=3)
-    samples = np.stack([rng.random((2, 6)) for _ in range(5)])
+    samples = np.stack([rng.random((2, 6)) for _ in range(5)], axis=1)  # graph-major
     report = train(model, samples, 1, TrainingSettings(max_epochs=2000, patience=None, validation_fraction=0.0))
     best = min(report.train_losses)
     first_epoch = next((i + 1 for i, l in enumerate(report.train_losses) if l < 1e-3), None)

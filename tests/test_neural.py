@@ -13,23 +13,29 @@ from leadlag_fuse.neural import (
     forward,
     init_mlp,
     layer_views,
-    mlp_from_dict,
-    mlp_to_dict,
-    mse,
-    mse_grad,
+    mlp_from_dicts,
+    mlp_to_dicts,
 )
+
+
+def mse(pred, target):
+    return float(np.mean((pred - target) ** 2))
+
+
+def mse_grad(pred, target):
+    return 2.0 * (pred - target) / pred.size
 
 
 class TestForward:
     def test_identity_layer_passes_through(self):
-        layer = DenseLayer(weight=np.eye(3), bias=np.zeros(3), activation="identity")
-        x = np.array([[1.0, -2.0, 0.5]])
+        layer = DenseLayer(weight=np.eye(3)[None], bias=np.zeros((1, 3)), activation="identity")
+        x = np.array([[[1.0, -2.0, 0.5]]])
         assert np.array_equal(forward(Mlp([layer]), x).output, x)
 
     def test_relu_clips_negatives(self):
-        layer = DenseLayer(weight=np.eye(2), bias=np.zeros(2), activation="relu")
-        out = forward(Mlp([layer]), np.array([[-1.0, 2.0]])).output
-        assert np.array_equal(out, np.array([[0.0, 2.0]]))
+        layer = DenseLayer(weight=np.eye(2)[None], bias=np.zeros((1, 2)), activation="relu")
+        out = forward(Mlp([layer]), np.array([[[-1.0, 2.0]]])).output
+        assert np.array_equal(out, np.array([[[0.0, 2.0]]]))
 
     def test_two_layer_hand_computed(self):
         w1 = np.array([[1.0, 2.0], [0.0, -1.0], [0.5, 0.5]])
@@ -37,18 +43,18 @@ class TestForward:
         w2 = np.array([[1.0, -1.0, 2.0]])
         b2 = np.array([0.05])
         mlp = Mlp([
-            DenseLayer(weight=w1, bias=b1, activation="relu"),
-            DenseLayer(weight=w2, bias=b2, activation="identity"),
+            DenseLayer(weight=w1[None], bias=b1[None], activation="relu"),
+            DenseLayer(weight=w2[None], bias=b2[None], activation="identity"),
         ])
         x = np.array([[0.4, -0.7]])
         hidden = np.maximum(x @ w1.T + b1, 0.0)
         expected = hidden @ w2.T + b2
-        assert np.array_equal(forward(mlp, x).output, expected)
+        assert np.array_equal(forward(mlp, x[None]).output[0], expected)
 
     def test_shape_mismatch_rejected(self):
         mlp = init_mlp([3, 2], ["relu"], 0)
         with pytest.raises(ValueError, match="dim"):
-            forward(mlp, np.zeros((4, 5)))
+            forward(mlp, np.zeros((1, 4, 5)))
 
 
 def gradient_views(mlp):
@@ -59,7 +65,7 @@ def gradient_views(mlp):
 class TestBackward:
     def test_zero_gradient_at_optimum(self):
         mlp = init_mlp([3, 2], ["identity"], 1)
-        x = np.random.default_rng(2).standard_normal((5, 3))
+        x = np.random.default_rng(2).standard_normal((1, 5, 3))
         record = forward(mlp, x)
         grads = gradient_views(mlp)
         backward(mlp, record, mse_grad(record.output, record.output), grads)
@@ -70,17 +76,17 @@ class TestBackward:
     def test_scalar_chain_rule(self):
         w = 1.7
         x_val, target = 0.8, 0.3
-        mlp = Mlp([DenseLayer(weight=np.array([[w]]), bias=np.zeros(1), activation="identity")])
-        record = forward(mlp, np.array([[x_val]]))
+        mlp = Mlp([DenseLayer(weight=np.array([[[w]]]), bias=np.zeros((1, 1)), activation="identity")])
+        record = forward(mlp, np.array([[[x_val]]]))
         grads = gradient_views(mlp)
-        backward(mlp, record, mse_grad(record.output, np.array([[target]])), grads)
-        assert grads[0][0][0, 0] == pytest.approx(2.0 * (w * x_val - target) * x_val, abs=1e-14)
+        backward(mlp, record, mse_grad(record.output, np.array([[[target]]])), grads)
+        assert grads[0][0][0, 0, 0] == pytest.approx(2.0 * (w * x_val - target) * x_val, abs=1e-14)
 
     def test_three_layer_against_finite_differences(self):
         rng = np.random.default_rng(42)
         mlp = init_mlp([4, 6, 5, 3], ["relu", "relu", "identity"], rng)
-        x = rng.standard_normal((7, 4))
-        target = rng.standard_normal((7, 3))
+        x = rng.standard_normal((1, 7, 4))
+        target = rng.standard_normal((1, 7, 3))
         record = forward(mlp, x)
         assert min(np.abs(z).min() for z in record.pre_activations) > 1e-6  # away from kinks
         grads = gradient_views(mlp)
@@ -97,26 +103,9 @@ class TestBackward:
     def test_stale_record_rejected(self):
         mlp_a = init_mlp([3, 4, 2], ["relu", "identity"], 3)
         mlp_b = init_mlp([3, 5, 2], ["relu", "identity"], 4)
-        record = forward(mlp_a, np.zeros((2, 3)))
+        record = forward(mlp_a, np.zeros((1, 2, 3)))
         with pytest.raises(ValueError, match="record"):
-            backward(mlp_b, record, np.zeros((2, 2)), gradient_views(mlp_b))
-
-
-class TestMse:
-    def test_equal_inputs(self):
-        assert mse(np.ones((3, 2)), np.ones((3, 2))) == 0.0
-
-    def test_unit_difference(self):
-        assert mse(np.ones((4, 4)), np.zeros((4, 4))) == 1.0
-
-    def test_arithmetic(self):
-        pred = np.array([[1.0, 2.0], [3.0, 5.0]])
-        target = np.array([[1.0, 2.0], [3.0, 1.0]])
-        assert mse(pred, target) == 4.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mse(np.ones((2, 2)), np.ones((2, 3)))
+            backward(mlp_b, record, np.zeros((1, 2, 2)), gradient_views(mlp_b))
 
 
 class TestAdam:
@@ -170,15 +159,15 @@ class TestInit:
     def test_dims_must_chain(self):
         with pytest.raises(ValueError, match="chain"):
             Mlp([
-                DenseLayer(weight=np.zeros((3, 2)), bias=np.zeros(3), activation="relu"),
-                DenseLayer(weight=np.zeros((2, 4)), bias=np.zeros(2), activation="relu"),
+                DenseLayer(weight=np.zeros((1, 3, 2)), bias=np.zeros((1, 3)), activation="relu"),
+                DenseLayer(weight=np.zeros((1, 2, 4)), bias=np.zeros((1, 2)), activation="relu"),
             ])
 
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self):
         mlp = init_mlp([5, 4, 2], ["relu", "identity"], 123)
-        loaded = mlp_from_dict(json.loads(json.dumps(mlp_to_dict(mlp))))
+        loaded = mlp_from_dicts(json.loads(json.dumps(mlp_to_dicts(mlp))))
         assert loaded.dims == mlp.dims
         for la, lb in zip(mlp.layers, loaded.layers):
             assert la.activation == lb.activation
@@ -186,7 +175,7 @@ class TestCheckpoint:
             assert np.array_equal(la.bias, lb.bias)
 
     def test_version_checked(self):
-        payload = mlp_to_dict(init_mlp([2, 2], ["relu"], 0))
-        payload["format_version"] = 99
+        payload = mlp_to_dicts(init_mlp([2, 2], ["relu"], 0))
+        payload[0]["format_version"] = 99
         with pytest.raises(ValueError, match="version"):
-            mlp_from_dict(payload)
+            mlp_from_dicts(payload)

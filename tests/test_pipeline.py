@@ -129,13 +129,13 @@ class TestWindowing:
         )
         graphs, usable_ends, _, _ = build_graphs(config, panel)
         samples = samples_from_graphs(graphs, config.specs, usable_ends, config.rwr)
-        assert samples.shape == (3 * 3, 2, 3)
+        assert samples.shape == (2, 3 * 3, 3)
         by_key = {(g.spec.tag, g.window_end): g for g in graphs}
         for d, end in enumerate(usable_ends):
             for k, spec in enumerate(config.specs):
                 ppmi = node_features(by_key[(spec.tag, end)].adjacency, config.rwr, spec.tag).ppmi
                 for a in range(3):
-                    assert np.array_equal(samples[d * 3 + a, k], ppmi[a])
+                    assert np.array_equal(samples[k, d * 3 + a], ppmi[a])
 
     def test_insufficient_window_skipped_with_reason(self, caplog):
         panel = tiny_panel(rows=40)
