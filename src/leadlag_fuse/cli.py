@@ -20,22 +20,21 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from types import NoneType, UnionType
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 from . import fusion, pipeline
-from .diffusion import RwrConfig
-from .fusion import ModelSettings, TrainingSettings
-from .leadlag import LagSpec
 from .market_data import PricePanel, load_panel_csv, load_prices, write_panel_csv
 from .pipeline import ConfigError, RunConfig
-from .synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic
+from .synthetic import SyntheticSpec, generate_synthetic
 
 logger = logging.getLogger(__name__)
 
 OUT_ENV_VAR = "LEADLAG_FUSE_OUT"
 CONFIG_SCHEMA_VERSION = 1
+_CLI_SECTIONS = ("schema_version", "data", "seeds", "synth")  # config keys that are not RunConfig fields
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -74,7 +73,7 @@ def _merge_onto_defaults(user: dict, defaults: dict, path: str = "") -> dict:
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if key not in defaults:
-            raise ConfigError(f"unknown config key: {here}")
+            raise ConfigError(f"unknown key in config: {here}")
         if isinstance(defaults[key], dict) and isinstance(value, dict):
             merged[key] = _merge_onto_defaults(value, defaults[key], here)
         else:
@@ -101,8 +100,7 @@ def load_config(path: str | Path) -> dict:
 
 
 def apply_overrides(config: dict, assignments: Sequence[str]) -> dict:
-    """Apply repeatable ``--set key=value`` assignments; keys are dotted paths."""
-    config = copy.deepcopy(config)
+    """Apply repeatable ``--set a.b=v`` assignments, each merged like ``{"a": {"b": v}}`` in a config file."""
     for assignment in assignments:
         if "=" not in assignment:
             raise ConfigError(f"override {assignment!r} is not of the form key=value")
@@ -111,64 +109,57 @@ def apply_overrides(config: dict, assignments: Sequence[str]) -> dict:
             value: Any = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = config
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"override references unknown key: {key}")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise ConfigError(f"override references unknown key: {key}")
-        node[parts[-1]] = value
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        config = _merge_onto_defaults(value, config)
     return config
 
 
-def build_run_config(config: dict) -> RunConfig:
-    """Translate the config tree into a validated RunConfig."""
+def _from_tree(kind: Any, value: Any, path: str) -> Any:
+    """A config subtree as a value of the annotated type ``kind``; ``path`` names it in errors.
+
+    Dataclasses take their fields by name, ``X | None`` lets ``None`` through and
+    ``str | tuple[...]`` a string, tuples convert element by element, and scalars
+    go through ``int``, ``float`` or ``str``.
+    """
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config'} must be an object, got {value!r}")
+        hints = get_type_hints(kind)
+        built = {}
+        for key, item in value.items():
+            here = f"{path}.{key}" if path else key
+            if key not in hints:
+                raise ConfigError(f"unknown key in config: {here}")
+            built[key] = _from_tree(hints[key], item, here)
+        return kind(**built)
+    args = get_args(kind)
+    if isinstance(kind, UnionType):
+        if (value is None and NoneType in args) or (isinstance(value, str) and str in args):
+            return value
+        (kind,) = [arm for arm in args if arm not in (NoneType, str)]
+        return _from_tree(kind, value, path)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        kinds = [args[0]] * len(value) if args[-1] is Ellipsis else list(args)
+        if len(kinds) != len(value):
+            raise ConfigError(f"{path} must hold {len(kinds)} entries, got {len(value)}")
+        return tuple(_from_tree(k, item, f"{path}.{i}") for i, (k, item) in enumerate(zip(kinds, value)))
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path} must be a whole number, got {value!r}")
     try:
-        specs = tuple(
-            LagSpec(
-                period_minutes=int(s["period_minutes"]),
-                lag=int(s["lag"]),
-                window_rows=None if s.get("window_rows") is None else int(s["window_rows"]),
-            )
-            for s in config["specs"]
-        )
-        window_ends = config["window_ends"]
-        if not isinstance(window_ends, str):
-            window_ends = tuple(int(t) for t in window_ends)
-        similarity_pairs = config["similarity_pairs"]
-        if not isinstance(similarity_pairs, str):
-            similarity_pairs = tuple((str(a), str(b)) for a, b in similarity_pairs)
-        return RunConfig(
-            specs=specs,
-            window_minutes=int(config["window_minutes"]),
-            window_ends=window_ends,
-            states=int(config["states"]),
-            uncorrected_p=float(config["uncorrected_p"]),
-            rwr=RwrConfig(
-                restart_keep=float(config["rwr"]["restart_keep"]),
-                steps=int(config["rwr"]["steps"]),
-            ),
-            model=ModelSettings(
-                per_graph_dims=tuple(int(d) for d in config["model"]["per_graph_dims"]),
-                shared_dims=tuple(int(d) for d in config["model"]["shared_dims"]),
-                embedding_dim=int(config["model"]["embedding_dim"]),
-            ),
-            training=TrainingSettings(
-                max_epochs=int(config["training"]["max_epochs"]),
-                learning_rate=float(config["training"]["learning_rate"]),
-                patience=None
-                if config["training"]["patience"] is None
-                else int(config["training"]["patience"]),
-                min_delta=float(config["training"]["min_delta"]),
-                validation_fraction=float(config["training"]["validation_fraction"]),
-            ),
-            seed_split=int(config["seeds"]["split"]),
-            seed_init=int(config["seeds"]["init"]),
-            pca_components=int(config["pca_components"]),
-            similarity_pairs=similarity_pairs,
-        )
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def build_run_config(config: dict) -> RunConfig:
+    """The config tree as a validated RunConfig; ``seeds.split`` and ``seeds.init`` seed it."""
+    tree = {key: value for key, value in config.items() if key not in _CLI_SECTIONS}
+    try:
+        tree["seed_split"], tree["seed_init"] = config["seeds"]["split"], config["seeds"]["init"]
+        return _from_tree(RunConfig, tree, "")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -176,25 +167,8 @@ def build_run_config(config: dict) -> RunConfig:
 
 
 def build_synth_spec(config: dict) -> SyntheticSpec:
-    synth = config["synth"]
     try:
-        return SyntheticSpec(
-            n_assets=int(synth["n_assets"]),
-            days=int(synth["days"]),
-            base_price=float(synth["base_price"]),
-            volatility=float(synth["volatility"]),
-            asset_prefix=str(synth["asset_prefix"]),
-            couplings=tuple(
-                PlantedCoupling(
-                    leader=str(c["leader"]),
-                    follower=str(c["follower"]),
-                    lag=int(c["lag"]),
-                    coupling=float(c["coupling"]),
-                    noise=float(c["noise"]),
-                )
-                for c in synth["couplings"]
-            ),
-        )
+        return _from_tree(SyntheticSpec, config["synth"], "synth")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid synth configuration: {exc}") from exc
 
@@ -339,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a config key (dotted path, JSON value); repeatable",
     )
     parser.add_argument("--threads", type=int, default=1, help="worker threads for graph construction")
-    parser.add_argument("--seed-data", type=int, default=None, help="override seeds.data")
-    parser.add_argument("--seed-split", type=int, default=None, help="override seeds.split")
-    parser.add_argument("--seed-init", type=int, default=None, help="override seeds.init")
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("--quiet", action="store_true", help="warnings and errors only")
     verbosity.add_argument("--verbose", action="store_true", help="debug logging")
@@ -362,10 +333,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args)
     config = load_config(args.config)
     config = apply_overrides(config, args.overrides)
-    for flag, key in (("seed_data", "data"), ("seed_split", "split"), ("seed_init", "init")):
-        value = getattr(args, flag)
-        if value is not None:
-            config["seeds"][key] = value
     config_dir = Path(args.config).resolve().parent
 
     if args.command == "synth":

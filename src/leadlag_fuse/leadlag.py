@@ -239,12 +239,9 @@ def write_graph(graph: LeadLagGraph, csv_path: str | Path, json_path: str | Path
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["source", "target", "weight"])
-        n = graph.n_assets
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = graph.weights[i, j]
-                if w > 0.0:
-                    writer.writerow([graph.assets[i], graph.assets[j], _fmt(w)])
+        rows, cols = np.nonzero(np.triu(graph.weights, 1) > 0.0)  # row-major, as the pair loop
+        for i, j, w in zip(rows.tolist(), cols.tolist(), graph.weights[rows, cols].tolist()):
+            writer.writerow([graph.assets[i], graph.assets[j], _fmt(w)])
     sidecar = {
         "spec": {
             "period_minutes": graph.spec.period_minutes,

@@ -559,17 +559,23 @@ def load_graph_artifacts(graphs_dir: str | Path) -> list[LeadLagGraph]:
     return graphs
 
 
-def write_embeddings_csv(frame: EmbeddingFrame, path: str | Path) -> None:
+def _write_records_csv(
+    path: str | Path, asset_ids: Sequence[str], window_ends: Sequence[int], values: np.ndarray, columns: list[str]
+) -> None:
+    """``asset,window_end,<columns>`` rows sorted by (window_end, asset), one per record."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    order = sorted(range(len(frame)), key=lambda i: (frame.window_ends[i], frame.asset_ids[i]))
+    order = sorted(range(len(asset_ids)), key=lambda i: (window_ends[i], asset_ids[i]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["asset", "window_end", *(f"z{i}" for i in range(frame.embedding_dim))])
+        writer.writerow(["asset", "window_end", *columns])
         for i in order:
-            writer.writerow(
-                [frame.asset_ids[i], frame.window_ends[i], *(_fmt(v) for v in frame.vectors[i])]
-            )
+            writer.writerow([asset_ids[i], window_ends[i], *(_fmt(v) for v in values[i])])
+
+
+def write_embeddings_csv(frame: EmbeddingFrame, path: str | Path) -> None:
+    columns = [f"z{i}" for i in range(frame.embedding_dim)]
+    _write_records_csv(path, frame.asset_ids, frame.window_ends, frame.vectors, columns)
 
 
 def load_embeddings_csv(path: str | Path, universe: Sequence[str] | None = None) -> EmbeddingFrame:
@@ -642,21 +648,5 @@ def write_similarity_dir(series: Sequence[SimilaritySeries], directory: str | Pa
 
 
 def write_pca_csv(projection: PcaProjection, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    k = projection.coordinates.shape[1]
-    order = sorted(
-        range(len(projection.asset_ids)),
-        key=lambda i: (projection.window_ends[i], projection.asset_ids[i]),
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["asset", "window_end", *(f"pc{i + 1}" for i in range(k))])
-        for i in order:
-            writer.writerow(
-                [
-                    projection.asset_ids[i],
-                    projection.window_ends[i],
-                    *(_fmt(v) for v in projection.coordinates[i]),
-                ]
-            )
+    columns = [f"pc{i + 1}" for i in range(projection.coordinates.shape[1])]
+    _write_records_csv(path, projection.asset_ids, projection.window_ends, projection.coordinates, columns)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from leadlag_fuse.cli import (
     load_config,
     main,
 )
+from leadlag_fuse.diffusion import RwrConfig
+from leadlag_fuse.fusion import ModelSettings, TrainingSettings
+from leadlag_fuse.leadlag import LagSpec
 from leadlag_fuse.market_data import load_prices
 from leadlag_fuse.pipeline import ConfigError, RunConfig, load_embeddings_csv, run_dynamic_fusion
 from leadlag_fuse.synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic, synthetic_returns
@@ -35,6 +39,18 @@ def workspace(tmp_path_factory):
     config_path.write_text(json.dumps(config))
     assert main(["--config", str(config_path), "--out", str(root / "seedrun"), "--quiet", "synth"]) == EXIT_OK
     return root, config_path
+
+
+def fields_at_default(obj, default):
+    """Names of the fields (nested settings included) where ``obj`` equals ``default``."""
+    names = []
+    for f in fields(obj):
+        value, base = getattr(obj, f.name), getattr(default, f.name)
+        if is_dataclass(value):
+            names += [f"{f.name}.{name}" for name in fields_at_default(value, base)]
+        elif value == base:
+            names.append(f.name)
+    return names
 
 
 def tree_bytes(base, pattern):
@@ -102,6 +118,85 @@ class TestConfigHandling:
     def test_defaults_match_library_defaults(self):
         assert build_run_config(default_config()) == RunConfig()
         assert build_synth_spec(default_config()) == SyntheticSpec()
+
+    def test_every_field_round_trips_through_the_config_tree(self, tmp_path):
+        run = RunConfig(
+            specs=(LagSpec(2, 1, window_rows=50), LagSpec(3, 0)),
+            window_minutes=60,
+            window_ends=(60_000, 120_000),
+            states=3,
+            uncorrected_p=0.05,
+            rwr=RwrConfig(restart_keep=0.9, steps=5),
+            model=ModelSettings(per_graph_dims=(12, 6), shared_dims=(8, 4), embedding_dim=5),
+            training=TrainingSettings(
+                max_epochs=17, learning_rate=0.01, patience=None, min_delta=1e-4, validation_fraction=0.2
+            ),
+            seed_split=3,
+            seed_init=4,
+            pca_components=3,
+            similarity_pairs=(("X00", "X01"), ("X02", "X03")),
+        )
+        synth = SyntheticSpec(
+            n_assets=5,
+            days=2,
+            base_price=50.0,
+            volatility=0.002,
+            asset_prefix="X",
+            couplings=(PlantedCoupling("X00", "X01", 2, 0.5, 0.1), PlantedCoupling("X02", "X03", 0, 0.3, 0.0)),
+        )
+        # start_ms is fixed by the generator and has no config key
+        assert fields_at_default(run, RunConfig()) == []
+        assert fields_at_default(synth, SyntheticSpec()) == ["start_ms"]
+        tree = cli._json_tree(run)
+        tree["seeds"] = {"split": tree.pop("seed_split"), "init": tree.pop("seed_init")}
+        synth_tree = cli._json_tree(synth)
+        del synth_tree["start_ms"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**tree, "synth": synth_tree}))
+        config = load_config(path)
+        assert build_run_config(config) == run
+        assert build_synth_spec(config) == synth
+
+    def test_unknown_key_in_spec_entry_rejected(self, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"specs": [{"period_minutes": 1, "lag": 0, "window_row": 60}]}))
+        with pytest.raises(ConfigError, match="unknown key in config: specs.0.window_row"):
+            build_run_config(load_config(path))
+
+    def test_unknown_key_in_coupling_entry_rejected(self, tmp_path, capsys):
+        coupling = {"leader": "A00", "follower": "A01", "lag": 1, "coupling": 0.8, "noise": 0.5, "nosie": 9}
+        config = {"data": {"prices_dir": str(tmp_path / "prices")}, "synth": {"couplings": [coupling]}}
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "synth"]) == EXIT_CONFIG
+        assert "synth.couplings.0.nosie" in capsys.readouterr().err
+        assert not (tmp_path / "prices").exists()
+
+    @pytest.mark.parametrize(
+        "assignment, build",
+        [
+            ("states=4.9", build_run_config),
+            ("training.max_epochs=10.5", build_run_config),
+            ('specs=[{"period_minutes": 1, "lag": 0.5}]', build_run_config),
+            ("synth.days=2.5", build_synth_spec),
+        ],
+    )
+    def test_integer_keys_reject_fractions(self, assignment, build):
+        with pytest.raises(ConfigError, match="whole number"):
+            build(apply_overrides(default_config(), [assignment]))
+
+    @pytest.mark.parametrize("assignment", ["states=4.0", 'states="4"'])
+    def test_integer_keys_accept_whole_numbers(self, assignment):
+        assert build_run_config(apply_overrides(default_config(), [assignment])).states == 4
+
+    def test_override_of_a_section_merges_onto_its_defaults(self):
+        config = apply_overrides(default_config(), ['rwr={"steps": 4}'])
+        assert build_run_config(config).rwr == RwrConfig(steps=4)
+
+    def test_override_into_a_list_rejected(self):
+        config = apply_overrides(default_config(), ["specs.0.lag=2"])
+        with pytest.raises(ConfigError, match="specs must be a list"):
+            build_run_config(config)
 
 
 class TestCliDispatch:
@@ -190,8 +285,8 @@ class TestCliDispatch:
                 "--quiet",
                 "--set",
                 "training.max_epochs=11",
-                "--seed-split",
-                "99",
+                "--set",
+                "seeds.split=99",
                 "ingest",
             ]
         )

@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from leadlag_fuse import leadlag
 from leadlag_fuse.infotheory import MiTestConfig, discretize_equal_frequency, significance_threshold
 from leadlag_fuse.leadlag import (
     LagSpec,
+    LeadLagGraph,
     binarize,
     build_graph,
     constant_columns,
@@ -305,6 +308,23 @@ class TestGraphConstruction:
         assert loaded.sample_size == graph.sample_size
         assert np.array_equal(loaded.weights, graph.weights)
         assert np.array_equal(loaded.adjacency, graph.adjacency)
+
+    def test_edge_list_matches_csv_writer_oracle(self, tmp_path):
+        assets = ("A", "B,B", "C", "D")
+        weights = np.zeros((4, 4))
+        for i, j, w in [(0, 1, 1e-05), (0, 3, 0.5), (1, 2, 2.0 / 3.0), (2, 3, 1.25e-300)]:
+            weights[i, j] = weights[j, i] = w
+        graph = LeadLagGraph(LagSpec(1, 1), T0, assets, weights, weights > 0, 8, 99, 0.01)
+        write_graph(graph, tmp_path / "g.csv", tmp_path / "g.json")
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(["source", "target", "weight"])
+        for i in range(4):
+            for j in range(i + 1, 4):
+                if weights[i, j] > 0.0:
+                    writer.writerow([assets[i], assets[j], repr(float(weights[i, j]))])
+        assert (tmp_path / "g.csv").read_bytes() == expected.getvalue().encode("utf-8")
+        assert b'"B,B"' in (tmp_path / "g.csv").read_bytes()
 
     def test_lag_spec_validation(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import csv
+import io
 import logging
 import math
 
@@ -12,6 +14,7 @@ from leadlag_fuse.market_data import MS_PER_MINUTE, PricePanel, log_returns
 from leadlag_fuse.pipeline import (
     ConfigError,
     ModelSettings,
+    PcaProjection,
     RunConfig,
     TrainingSettings,
     build_graphs,
@@ -28,6 +31,7 @@ from leadlag_fuse.pipeline import (
     similarity_series_batch,
     symmetric_eigh_jacobi,
     write_embeddings_csv,
+    write_pca_csv,
     write_similarity_csv,
     write_similarity_dir,
 )
@@ -423,6 +427,24 @@ class TestArtifacts:
         loaded = load_embeddings_csv(tmp_path / "e.csv")
         for asset, end in zip(frame.asset_ids, frame.window_ends):
             assert np.array_equal(loaded.lookup(asset, end), frame.lookup(asset, end))
+
+    def test_embeddings_and_pca_csv_match_csv_writer_oracle(self, tmp_path):
+        assets, ends = ("B,B", "A", "B,B", "A"), (2, 2, 1, 1)
+        values = np.array([[0.1, -2.0], [1e-05, 3.0], [2.0 / 3.0, 0.0], [-1.5, 7.0]])
+
+        def oracle(columns):
+            expected = io.StringIO()
+            writer = csv.writer(expected)
+            writer.writerow(["asset", "window_end", *columns])
+            for i in (3, 2, 1, 0):  # sorted by (window_end, asset)
+                writer.writerow([assets[i], ends[i], *(repr(float(v)) for v in values[i])])
+            return expected.getvalue().encode("utf-8")
+
+        write_embeddings_csv(frame_of(values, assets=assets, ends=ends), tmp_path / "e.csv")
+        assert (tmp_path / "e.csv").read_bytes() == oracle(["z0", "z1"])
+        projection = PcaProjection(assets, ends, values, np.eye(2), np.ones(2))
+        write_pca_csv(projection, tmp_path / "pca.csv")
+        assert (tmp_path / "pca.csv").read_bytes() == oracle(["pc1", "pc2"])
 
     def test_link_count_summary_shape(self, tmp_path):
         panel = tiny_panel(rows=60)
