@@ -20,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
@@ -43,6 +43,23 @@ EXIT_CONFIG = 3
 EXIT_MISSING_INPUT = 4
 
 
+@dataclass(frozen=True)
+class DataSettings:
+    """Where the raw price CSVs live (relative to the config file) and their bar length."""
+
+    prices_dir: str = "prices"
+    base_period_minutes: int = 1
+
+
+@dataclass(frozen=True)
+class Seeds:
+    """The data seed of ``synth`` and the split and init seeds of ``RunConfig``."""
+
+    data: int = 7
+    split: int = RunConfig.seed_split
+    init: int = RunConfig.seed_init
+
+
 def _json_tree(obj) -> dict:
     """A dataclass as the JSON-shaped dict a config file holds (tuples become lists)."""
     return json.loads(json.dumps(asdict(obj)))
@@ -51,19 +68,19 @@ def _json_tree(obj) -> dict:
 def default_config() -> dict:
     """Schema and defaults of the run configuration file.
 
-    Run and synth defaults are those of ``RunConfig`` and ``SyntheticSpec``;
-    only the data location, the base period and the data seed belong to the
-    CLI alone.
+    Every section is a settings dataclass: ``data`` is ``DataSettings``,
+    ``seeds`` is ``Seeds``, ``synth`` is ``SyntheticSpec`` and the top level
+    is ``RunConfig``, whose two seeds live under ``seeds``.
     """
     run = _json_tree(RunConfig())
-    seeds = {"data": 7, "split": run.pop("seed_split"), "init": run.pop("seed_init")}
+    del run["seed_split"], run["seed_init"]
     synth = _json_tree(SyntheticSpec())
     del synth["start_ms"]  # fixed by the generator, not configurable
     return {
         "schema_version": CONFIG_SCHEMA_VERSION,
-        "data": {"prices_dir": "prices", "base_period_minutes": 1},
+        "data": _json_tree(DataSettings()),
         **run,
-        "seeds": seeds,
+        "seeds": _json_tree(Seeds()),
         "synth": synth,
     }
 
@@ -120,7 +137,7 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
 
     Dataclasses take their fields by name, ``X | None`` lets ``None`` through and
     ``str | tuple[...]`` a string, tuples convert element by element, and scalars
-    go through ``int``, ``float`` or ``str``.
+    go through ``int``, ``float`` or ``str`` (which refuses a list or an object).
     """
     if is_dataclass(kind):
         if not isinstance(value, dict):
@@ -148,6 +165,8 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
         return tuple(_from_tree(k, item, f"{path}.{i}") for i, (k, item) in enumerate(zip(kinds, value)))
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path} must be a whole number, got {value!r}")
+    if kind is str and isinstance(value, (dict, list)):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -158,8 +177,8 @@ def build_run_config(config: dict) -> RunConfig:
     """The config tree as a validated RunConfig; ``seeds.split`` and ``seeds.init`` seed it."""
     tree = {key: value for key, value in config.items() if key not in _CLI_SECTIONS}
     try:
-        tree["seed_split"], tree["seed_init"] = config["seeds"]["split"], config["seeds"]["init"]
-        return _from_tree(RunConfig, tree, "")
+        seeds = _from_tree(Seeds, config["seeds"], "seeds")
+        return _from_tree(RunConfig, {**tree, "seed_split": seeds.split, "seed_init": seeds.init}, "")
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -198,29 +217,31 @@ def _update_report(out_dir: Path, section: str, payload: dict, config: dict) -> 
 # --- stages -------------------------------------------------------------------
 
 
-def _prices_dir(config: dict, config_dir: Path) -> Path:
-    raw = Path(config["data"]["prices_dir"])
+def _prices_dir(data: DataSettings, config_dir: Path) -> Path:
+    raw = Path(data.prices_dir)
     return raw if raw.is_absolute() else config_dir / raw
 
 
 def stage_synth(out_dir: Path, config: dict, config_dir: Path) -> list[Path]:
     spec = build_synth_spec(config)
-    prices_dir = _prices_dir(config, config_dir)
-    paths = generate_synthetic(spec, seed=int(config["seeds"]["data"]), out_dir=prices_dir)
+    seed = _from_tree(Seeds, config["seeds"], "seeds").data
+    prices_dir = _prices_dir(_from_tree(DataSettings, config["data"], "data"), config_dir)
+    paths = generate_synthetic(spec, seed=seed, out_dir=prices_dir)
     logger.info("wrote %d synthetic price files to %s", len(paths), prices_dir)
     _update_report(out_dir, "synth", {"assets": spec.n_assets, "days": spec.days, "dir": str(prices_dir)}, config)
     return paths
 
 
 def stage_ingest(out_dir: Path, config: dict, config_dir: Path) -> PricePanel:
-    prices_dir = _prices_dir(config, config_dir)
+    data = _from_tree(DataSettings, config["data"], "data")
+    prices_dir = _prices_dir(data, config_dir)
     if not prices_dir.is_dir():
         raise FileNotFoundError(f"prices directory not found: {prices_dir} (run 'synth' or point data.prices_dir at your data)")
     files = sorted(prices_dir.glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no price CSV files in {prices_dir}")
     run_config = build_run_config(config)
-    base = int(config["data"]["base_period_minutes"])
+    base = data.base_period_minutes
     longest = max(
         run_config.window_rows(spec) * (spec.period_minutes // base) for spec in run_config.specs
     )

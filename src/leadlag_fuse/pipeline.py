@@ -3,11 +3,15 @@
 For every selected window-end date and every (period, lag) spec, a lookback
 window of return rows is sliced, a validated lead-lag graph is built, and the
 graph's RWR/PPMI features become one training row per asset; the rows form
-one (dates * assets, specs, assets) sample array. ``fit`` trains the single
+one (specs, dates * assets, assets) sample array. ``fit`` trains the single
 fusion model over all (asset, date) samples and embeds them; the library
 (``run_dynamic_fusion``) and the CLI ``fuse`` stage both train through it.
 Pairwise cosine similarity series and a 2-D PCA projection are derived from
 the embeddings.
+
+The ``write_*`` and ``load_*`` functions here define the artifact formats.
+Nothing in this module writes a run directory: the CLI stages call the
+writers and are the only code that does.
 """
 
 from __future__ import annotations
@@ -158,6 +162,7 @@ class PcaProjection:
 
 @dataclass
 class RunResult:
+    model: FusionModel
     frame: EmbeddingFrame
     graphs: list[LeadLagGraph]
     train_report: TrainReport
@@ -299,23 +304,18 @@ def fit(
     return model, report, frame
 
 
-def run_dynamic_fusion(
-    config: RunConfig,
-    panel: PricePanel,
-    out_dir: str | Path | None = None,
-    threads: int = 1,
-) -> RunResult:
-    """The full dynamic pipeline: graphs for every date, one fusion training, embeddings."""
+def run_dynamic_fusion(config: RunConfig, panel: PricePanel, threads: int = 1) -> RunResult:
+    """The full dynamic pipeline in memory: graphs for every date, one fusion training, embeddings.
+
+    Nothing is written. To keep the artifacts, pass the result to the writers
+    the CLI uses, e.g. ``fusion.save_model(result.model, path)`` and
+    ``write_embeddings_csv(result.frame, path)``.
+    """
     graphs, usable_ends, skips, flags = build_graphs(config, panel, threads=threads)
     model, report, frame = fit(config, graphs, usable_ends)
-    result = RunResult(
-        frame=frame, graphs=graphs, train_report=report, usable_ends=usable_ends, skips=skips, flags=flags
+    return RunResult(
+        model=model, frame=frame, graphs=graphs, train_report=report, usable_ends=usable_ends, skips=skips, flags=flags
     )
-    if out_dir is not None:
-        write_graph_artifacts(graphs, Path(out_dir) / "graphs")
-        write_embeddings_csv(frame, Path(out_dir) / "embeddings.csv")
-        fusion.save_model(model, Path(out_dir) / "model.json")
-    return result
 
 
 # --- similarity ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import similarity_csv_oracle
-from leadlag_fuse import cli
+from leadlag_fuse import cli, fusion
 from leadlag_fuse.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -22,7 +22,13 @@ from leadlag_fuse.diffusion import RwrConfig
 from leadlag_fuse.fusion import ModelSettings, TrainingSettings
 from leadlag_fuse.leadlag import LagSpec
 from leadlag_fuse.market_data import load_prices
-from leadlag_fuse.pipeline import ConfigError, RunConfig, load_embeddings_csv, run_dynamic_fusion
+from leadlag_fuse.pipeline import (
+    ConfigError,
+    RunConfig,
+    load_embeddings_csv,
+    load_graph_artifacts,
+    run_dynamic_fusion,
+)
 from leadlag_fuse.synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic, synthetic_returns
 
 
@@ -144,18 +150,23 @@ class TestConfigHandling:
             asset_prefix="X",
             couplings=(PlantedCoupling("X00", "X01", 2, 0.5, 0.1), PlantedCoupling("X02", "X03", 0, 0.3, 0.0)),
         )
+        data = cli.DataSettings(prices_dir="elsewhere", base_period_minutes=5)
+        seeds = cli.Seeds(data=21, split=run.seed_split, init=run.seed_init)
         # start_ms is fixed by the generator and has no config key
         assert fields_at_default(run, RunConfig()) == []
         assert fields_at_default(synth, SyntheticSpec()) == ["start_ms"]
+        assert fields_at_default(data, cli.DataSettings()) == fields_at_default(seeds, cli.Seeds()) == []
         tree = cli._json_tree(run)
-        tree["seeds"] = {"split": tree.pop("seed_split"), "init": tree.pop("seed_init")}
+        del tree["seed_split"], tree["seed_init"]
         synth_tree = cli._json_tree(synth)
         del synth_tree["start_ms"]
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({**tree, "synth": synth_tree}))
+        path.write_text(json.dumps({**tree, "data": cli._json_tree(data), "seeds": cli._json_tree(seeds), "synth": synth_tree}))
         config = load_config(path)
         assert build_run_config(config) == run
         assert build_synth_spec(config) == synth
+        assert cli._from_tree(cli.DataSettings, config["data"], "data") == data
+        assert cli._from_tree(cli.Seeds, config["seeds"], "seeds") == seeds
 
     def test_unknown_key_in_spec_entry_rejected(self, tmp_path):
         path = tmp_path / "typo.json"
@@ -192,6 +203,29 @@ class TestConfigHandling:
     def test_override_of_a_section_merges_onto_its_defaults(self):
         config = apply_overrides(default_config(), ['rwr={"steps": 4}'])
         assert build_run_config(config).rwr == RwrConfig(steps=4)
+
+    @pytest.mark.parametrize(
+        "assignment, stage, key",
+        [
+            ("seeds.data=x", "synth", "seeds.data"),
+            ("data.base_period_minutes=x", "ingest", "data.base_period_minutes"),
+            ("seeds.split=x", "fuse", "seeds.split"),
+            ("data.prices_dir=[1]", "synth", "data.prices_dir"),
+        ],
+    )
+    def test_data_and_seeds_keys_are_typed(self, tmp_path, capsys, assignment, stage, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"n_assets": 2, "days": 1}}))
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "--set", assignment, stage])
+        assert code == EXIT_CONFIG
+        assert f"error: {key}:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_numeric_prices_dir_is_a_directory_name(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"n_assets": 2, "days": 1}}))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "--set", "data.prices_dir=5", "synth"]) == EXIT_OK
+        assert sorted(p.name for p in (tmp_path / "5").iterdir()) == ["A00.csv", "A01.csv"]
 
     def test_override_into_a_list_rejected(self):
         config = apply_overrides(default_config(), ["specs.0.lag=2"])
@@ -236,14 +270,20 @@ class TestCliDispatch:
             assert (staged / name).read_bytes() == (full / name).read_bytes()
 
     def test_library_run_equals_run_all(self, workspace):
+        """What run-all writes reads back bitwise equal to the library's in-memory result."""
         root, config_path = workspace
-        cli_out, lib_out = root / "equiv_cli", root / "equiv_lib"
-        assert main(["--config", str(config_path), "--out", str(cli_out), "--quiet", "run-all"]) == EXIT_OK
+        out = root / "equiv"
+        assert main(["--config", str(config_path), "--out", str(out), "--quiet", "run-all"]) == EXIT_OK
         config = build_run_config(load_config(config_path))
-        run_dynamic_fusion(config, load_prices(sorted((root / "prices").glob("*.csv"))), lib_out)
-        for pattern in ("graphs/*/*", "embeddings.csv", "model.json"):
-            written = tree_bytes(lib_out, pattern)
-            assert written and written == tree_bytes(cli_out, pattern)
+        result = run_dynamic_fusion(config, load_prices(sorted((root / "prices").glob("*.csv"))))
+        written = {(g.spec.tag, g.window_end): g for g in load_graph_artifacts(out / "graphs")}
+        assert sorted(written) == sorted((g.spec.tag, g.window_end) for g in result.graphs)
+        for graph in result.graphs:
+            assert np.array_equal(written[(graph.spec.tag, graph.window_end)].weights, graph.weights)
+        frame = load_embeddings_csv(out / "embeddings.csv")
+        assert (frame.asset_ids, frame.window_ends) == (result.frame.asset_ids, result.frame.window_ends)
+        assert np.array_equal(frame.vectors, result.frame.vectors)
+        assert np.array_equal(fusion.load_model(out / "model.json").params, result.model.params)
 
     def test_rerun_graphs_leaves_no_stale_graphs(self, workspace):
         root, config_path = workspace
