@@ -184,13 +184,16 @@ class FusionModel:
         """Mean over graphs of the batch's reconstruction MSE, and the residual recon - x.
 
         The residual is formed in the graph decoder's output buffer (its last
-        layer is the identity) and squared one graph at a time: squaring the
-        whole stack would hold a second (G, batch, input_dim) array, 4 MB on
-        the wide benchmark workload.
+        layer is the identity) and squared one graph at a time into one
+        buffer: squaring the whole stack would hold a second (G, batch,
+        input_dim) array, 4 MB on the wide benchmark workload. Each graph's
+        MSE is the sum of its squares over their count, as ``np.mean`` forms it.
         """
         residual = self._decode(self._encode(x, records), records)
         residual -= x
-        return sum(float(np.mean(r * r)) for r in residual) / len(residual), residual
+        square = np.empty_like(residual[0])
+        mse = (float(np.add.reduce(np.multiply(r, r, out=square), axis=None) / r.size) for r in residual)
+        return sum(mse) / len(residual), residual
 
     def encode_batch(self, samples: np.ndarray) -> np.ndarray:
         """Fused embeddings (batch, embedding_dim).
@@ -217,9 +220,9 @@ class FusionModel:
         x = self._check_inputs(samples)
         records: list[ForwardRecord] = []
         loss, residual = self._loss(x, records)
-        # dL/drecon in place: 2 (recon - x) / (batch * input_dim) / G, in that order of operations
-        residual *= 2.0
-        residual /= residual[0].size
+        # dL/drecon in place: 2 (recon - x) / (batch * input_dim) / G. Dividing by half the size
+        # (exact) rounds the quotient 2 (recon - x) / size once, as doubling (exact) and dividing would.
+        residual /= residual[0].size / 2.0
         residual /= len(residual)
         grad = np.empty_like(self.params)
         enc_rec, shared_enc_rec, shared_dec_rec, dec_rec = records
@@ -416,9 +419,10 @@ def save_model(model: FusionModel, path: str | Path) -> None:
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    # json.dumps uses the C encoder; json.dump always runs the pure-Python one. The text is the same.
+    text = json.dumps(payload) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path: str | Path) -> FusionModel:

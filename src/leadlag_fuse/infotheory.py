@@ -204,11 +204,20 @@ def discretize_equal_frequency(values, states: int = 4) -> DiscreteSeries:
     """Map reals to ``states`` equal-frequency bins by rank.
 
     ``values`` is one series, or a (rows, columns) block whose columns are
-    binned independently with one ranking of the whole block. The value of
-    rank r (0-based ascending along the rows, ties broken by row index) goes
-    to state floor(r * states / n), so each state receives either
-    floor(n / states) or ceil(n / states) points. Rank-based binning makes
-    the result invariant under any strictly increasing transform.
+    binned independently. The value of rank r (0-based ascending along the
+    rows, ties broken by row index) goes to state floor(r * states / n), so
+    each state receives either floor(n / states) or ceil(n / states) points.
+    Rank-based binning makes the result invariant under any strictly
+    increasing transform. Non-finite values are rejected.
+
+    No ranking is formed. Rank r reaches state k exactly when r >= p_k =
+    ceil(k * n / states), so a value's state is the number of edges e_k (the
+    value of rank p_k, read from one sorted copy of the block) that it is at
+    or above in (value, row) order. A value strictly above e_k counts; a value
+    equal to e_k counts unless it ranks below p_k, which only happens in a
+    column where the value of rank p_k - 1 equals e_k as well. There, the
+    first p_k - count(v < e_k) values equal to e_k in row order are the ones
+    below p_k, and each loses that edge.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim not in (1, 2):
@@ -218,26 +227,54 @@ def discretize_equal_frequency(values, states: int = 4) -> DiscreteSeries:
     n = v.shape[0]
     if n < states:
         raise ValueError(f"need at least {states} values to form {states} states, got {n}")
-    order = np.argsort(v, axis=0, kind="stable")
-    ranks = np.empty(v.shape, dtype=np.int64)
-    rank_of_position = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (v.ndim - 1))
-    np.put_along_axis(ranks, order, rank_of_position, axis=0)
-    ranks *= states  # in place: no second rows x columns int64 temporary
-    ranks //= n
-    return DiscreteSeries(states=ranks, cardinality=states)
+    block = v.reshape(n, -1)
+    ordered = np.sort(block, axis=0)  # NaN sorts last and -inf first: the end rows show any non-finite value
+    if not (np.isfinite(ordered[0]).all() and np.isfinite(ordered[-1]).all()):
+        raise ValueError(f"cannot bin {v.size - np.count_nonzero(np.isfinite(v))} non-finite values")
+    codes = np.zeros(block.shape, dtype=np.int64)
+    for k in range(1, states):
+        p = -(-k * n // states)
+        edge = ordered[p]
+        codes += block >= edge
+        tied = np.flatnonzero(ordered[p - 1] == edge)
+        if tied.size:
+            values_tied, edge_tied = block[:, tied], edge[tied]
+            equal = values_tied == edge_tied
+            below = p - np.count_nonzero(values_tied < edge_tied, axis=0)
+            # int32 running counts: a block of 2**31 rows would be 16 GiB per column
+            loses = np.zeros(block.shape, dtype=bool)
+            loses[:, tied] = equal & (np.cumsum(equal, axis=0, dtype=np.int32) <= below)
+            codes -= loses
+    return DiscreteSeries(states=codes.reshape(v.shape), cardinality=states)
 
 
 def _mi_bits_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Plug-in MI in bits from contingency counts over the last two axes."""
+    """Plug-in MI in bits from contingency counts over the last two axes.
+
+    The row marginals and the final sum over each table reduce the table's
+    contiguous trailing axes, in numpy's order for them (pairwise from 8
+    values on). The remaining steps work on a cell-major copy, where each
+    operation runs over one long contiguous row per cell: the column
+    marginals are the same left-to-right sums as ``joint.sum(axis=-2)``, and
+    the log ratios and terms are elementwise, so every value is bitwise that
+    of the direct formula.
+    """
     counts = np.asarray(counts, dtype=float)
     total = counts.sum(axis=(-2, -1), keepdims=True)
     joint = counts / total
-    px = joint.sum(axis=-1, keepdims=True)
-    py = joint.sum(axis=-2, keepdims=True)
+    px = joint.sum(axis=-1)
+    cells = np.moveaxis(joint, (-2, -1), (0, 1)).copy()
+    py = cells[0].copy()
+    for row in cells[1:]:
+        py += row
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log2(joint) - np.log2(px) - np.log2(py)
-        terms = np.where(joint > 0.0, joint * log_ratio, 0.0)
-    return terms.sum(axis=(-2, -1))
+        log_px = np.moveaxis(np.log2(px), -1, 0)
+        terms = np.log2(cells)
+        terms -= log_px[:, np.newaxis]
+        terms -= np.log2(py)
+        terms *= cells
+    terms = np.where(cells > 0.0, terms, 0.0)
+    return np.ascontiguousarray(np.moveaxis(terms, (0, 1), (-2, -1))).sum(axis=(-2, -1))
 
 
 def mutual_information_bits(x: DiscreteSeries, y: DiscreteSeries) -> float:

@@ -102,24 +102,40 @@ _SOURCE_BLOCK = 32
 
 
 def _one_hot(codes: np.ndarray, states: int) -> np.ndarray:
-    """(rows, assets * states) float32 indicator of each asset's state per row."""
-    return (codes[:, :, np.newaxis] == np.arange(states)).reshape(codes.shape[0], -1).astype(np.float32)
+    """(rows, (states - 1) * assets) float32 indicator of states 0..states-2, state-major.
+
+    Column ``k * assets + a`` marks the rows where asset ``a`` is in state
+    ``k``; the last state has no column, since its counts follow from the
+    others'.
+    """
+    hot = np.empty((codes.shape[0], states - 1, codes.shape[1]), dtype=np.float32)
+    for k in range(states - 1):
+        hot[:, k] = codes == k
+    return hot.reshape(codes.shape[0], -1)
 
 
 def lagged_mi_matrix(returns: ReturnMatrix, lag: int, states: int = 4) -> np.ndarray:
     """n x n matrix of plug-in MI (bits) between past and lag-shifted future columns.
 
-    Each block (past, future) is discretized with one equal-frequency ranking
+    Each block (past, future) is discretized with one equal-frequency binning
     of the whole block, so each asset's past and future are separately reduced
-    to states; at lag 0 both are the same block, ranked once. The counts of
-    every (source, target) contingency table come from one-hot GEMMs: with
-    Y the (rows, n * states) one-hot state matrix of the future and X_b that
-    of a block of past columns, ``X_b^T @ Y`` holds the tables of every
-    source in the block against all targets. Sources go in fixed blocks of
-    ``_SOURCE_BLOCK``, one GEMM and one MI evaluation per block, so the full
-    n x n x states x states tensor never exists at once. The counts are
-    accumulated in float32, which is exact up to ``_EXACT_COUNT_ROWS``
-    (2**24) overlapping rows; longer windows are rejected.
+    to states; at lag 0 both are the same block, binned once. The counts of
+    every (source, target) contingency table come from one-hot GEMMs over
+    the states 0..S-2 only: with Y the (rows, n * (S - 1)) one-hot matrix of
+    the future and X_b that of a block of past columns, ``X_b^T @ Y`` holds
+    the (S - 1) x (S - 1) leading cells of every table of a source in the
+    block against every target, 9 of 16 at S = 4. The last row and column of
+    each table follow exactly from the per-column state counts, the column
+    sums of the same one-hots: cell (i, S-1) is the source's count of state
+    i minus the table's other cells in row i, and likewise for the last row;
+    the corner is the target's count of state S-1 minus the last column's
+    other cells. This holds for any binning, whatever its marginals.
+
+    Sources go in fixed blocks of ``_SOURCE_BLOCK``, one GEMM and one MI
+    evaluation per block, so the full n x n x S x S tensor never exists at
+    once. The counts are accumulated in float32, which is exact up to
+    ``_EXACT_COUNT_ROWS`` (2**24) overlapping rows; longer windows are
+    rejected.
     """
     past, future = shift_split(returns, lag)
     rows, n = past.shape
@@ -130,14 +146,25 @@ def lagged_mi_matrix(returns: ReturnMatrix, lag: int, states: int = 4) -> np.nda
             f"{rows} overlapping rows exceed {_EXACT_COUNT_ROWS}, the longest window whose "
             "float32 contingency counts are exact"
         )
+    head = states - 1  # states with a one-hot column
     xs = discretize_equal_frequency(past, states).states
     y = _one_hot(xs if lag == 0 else discretize_equal_frequency(future, states).states, states)
+    target_counts = y.sum(axis=0).reshape(head, n)
+    target_last = rows - target_counts.sum(axis=0)
     mi = np.empty((n, n), dtype=float)
     for lo in range(0, n, _SOURCE_BLOCK):
         hi = min(lo + _SOURCE_BLOCK, n)
-        joint = _one_hot(xs[:, lo:hi], states).T @ y
-        counts = joint.reshape(hi - lo, states, n, states).transpose(0, 2, 1, 3)
-        mi[lo:hi] = _mi_bits_from_counts(np.ascontiguousarray(counts, dtype=float))
+        x = _one_hot(xs[:, lo:hi], states)
+        source_counts = x.sum(axis=0).reshape(head, hi - lo)
+        inner = (x.T @ y).reshape(head, hi - lo, head, n)  # (source state, source, target state, target)
+        last_col = source_counts[:, :, np.newaxis] - inner.sum(axis=2)  # (source state, source, target)
+        last_row = target_counts - inner.sum(axis=0)  # (source, target state, target)
+        counts = np.empty((hi - lo, n, states, states), dtype=np.float32)
+        counts[:, :, :head, :head] = inner.transpose(1, 3, 0, 2)
+        counts[:, :, :head, head] = last_col.transpose(1, 2, 0)
+        counts[:, :, head, :head] = last_row.transpose(0, 2, 1)
+        counts[:, :, head, head] = target_last - last_col.sum(axis=0)
+        mi[lo:hi] = _mi_bits_from_counts(counts)
     return np.maximum(mi, 0.0)
 
 

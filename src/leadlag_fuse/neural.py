@@ -13,7 +13,7 @@ defined as 0. Forward passes record every intermediate activation so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -199,6 +199,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False)  # two vectors for a step's intermediates
+
+    def __post_init__(self) -> None:
+        self.scratch = np.empty((2, *self.first_moment.shape))
 
 
 def adam_init(params: np.ndarray, learning_rate: float = 0.001, **kwargs) -> AdamState:
@@ -221,11 +225,16 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     bc1 = 1.0 - state.beta1**state.step
     bc2 = 1.0 - state.beta2**state.step
     m, v = state.first_moment, state.second_moment
+    step, denominator = state.scratch
+    # params -= lr * (m / bc1) / (sqrt(v / bc2) + eps), the same operations in the same
+    # order, with every intermediate in the two scratch vectors
     m *= state.beta1
-    m += (1.0 - state.beta1) * grad
+    m += np.multiply(grad, 1.0 - state.beta1, out=step)
     v *= state.beta2
-    v += (1.0 - state.beta2) * (grad * grad)
-    params -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+    v += np.multiply(np.multiply(grad, grad, out=step), 1.0 - state.beta2, out=step)
+    np.multiply(np.divide(m, bc1, out=step), state.learning_rate, out=step)
+    np.add(np.sqrt(np.divide(v, bc2, out=denominator), out=denominator), state.epsilon, out=denominator)
+    params -= np.divide(step, denominator, out=step)
 
 
 def mlp_to_dicts(mlp: Mlp) -> list[dict]:

@@ -387,10 +387,14 @@ def _date_blocks(frame: EmbeddingFrame, assets: Sequence[str]) -> tuple[tuple[in
     return dates, blocks, present
 
 
-def similarity_series_batch(frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]]) -> list[SimilaritySeries]:
-    """The similarity series of every pair, read from one ``cosine_matrix`` per date.
+def _pair_cosines(
+    frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]]
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The frame's dates, the (pairs, dates) cosines and where both assets of a pair are present.
 
-    A pair's series skips the dates where either asset has no embedding.
+    The cosines are read from one ``cosine_matrix`` per date; NaN marks an
+    undefined cosine (a zero-norm embedding). ``both[p, d]`` is False where
+    either asset of pair ``p`` has no embedding at date ``d``.
     """
     known = set(frame.asset_ids)
     assets = list(dict.fromkeys(a for pair in pairs for a in pair))
@@ -404,9 +408,18 @@ def similarity_series_batch(frame: EmbeddingFrame, pairs: Sequence[tuple[str, st
     values = np.empty((len(pairs), len(dates)))
     for d, block in enumerate(blocks):
         values[:, d] = cosine_matrix(block)[first, second]
+    both = present[:, first].T & present[:, second].T
+    return dates, values, both
+
+
+def similarity_series_batch(frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]]) -> list[SimilaritySeries]:
+    """The similarity series of every pair, read from one ``cosine_matrix`` per date.
+
+    A pair's series skips the dates where either asset has no embedding.
+    """
+    dates, values, both = _pair_cosines(frame, pairs)
     cells = values.astype(object)
     cells[np.isnan(values)] = None
-    both = present[:, first].T & present[:, second].T
     return [
         SimilaritySeries(pair=(a, b), entries=tuple(compress(zip(dates, row), mask)))
         for (a, b), row, mask in zip(pairs, cells.tolist(), both.tolist())
@@ -603,18 +616,21 @@ def load_embeddings_csv(path: str | Path, universe: Sequence[str] | None = None)
     )
 
 
-def write_similarity_csv(series: SimilaritySeries, path: str | Path) -> None:
-    """Write one series as ``window_end,cosine`` rows, overwriting ``path`` in place.
+_SIMILARITY_HEADER = "window_end,cosine\r\n"
 
-    The bytes are those ``csv.writer`` wrote (CRLF rows, ``repr`` floats, an empty
-    field for ``None``), built with one join. The file is opened without
-    ``O_TRUNC`` and cut to the new length after the write: on ext4 (with the
-    default ``auto_da_alloc``) a close after truncating a file to zero waits
-    for its data to reach the disk, which made every re-run of a
-    19,900-file postprocess block once per file.
+
+def _similarity_line(end: int, value: float | None) -> str:
+    """One ``window_end,cosine`` row as ``csv.writer`` writes it: CRLF, a ``repr`` float, an empty field for None or NaN."""
+    return f"{end},{'' if value is None or value != value else _fmt(value)}\r\n"
+
+
+def _overwrite(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` in place: no ``O_TRUNC``, the file is cut to length after the write.
+
+    On ext4 (with the default ``auto_da_alloc``) a close after truncating a
+    file to zero waits for its data to reach the disk, which made every re-run
+    of a 19,900-file postprocess block once per file.
     """
-    rows = [f"{end},{'' if value is None else _fmt(value)}\r\n" for end, value in series.entries]
-    data = "".join(["window_end,cosine\r\n", *rows]).encode("utf-8")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except FileNotFoundError:
@@ -629,22 +645,32 @@ def write_similarity_csv(series: SimilaritySeries, path: str | Path) -> None:
         os.close(fd)
 
 
-def write_similarity_dir(series: Sequence[SimilaritySeries], directory: str | Path) -> None:
-    """Write ``<A>_<B>.csv`` for each series and delete every other ``*.csv`` in ``directory``.
+def write_similarity_csv(series: SimilaritySeries, path: str | Path) -> None:
+    """Write one series as ``window_end,cosine`` rows, overwriting ``path`` in place."""
+    _overwrite(path, "".join([_SIMILARITY_HEADER, *(_similarity_line(*entry) for entry in series.entries)]).encode())
 
-    Files of an earlier run are overwritten in place rather than removed and
-    created anew, which is the slower of the two on ext4.
+
+def write_similarity_dir(frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]], directory: str | Path) -> None:
+    """Write ``<A>_<B>.csv`` for each pair and delete every other ``*.csv`` in ``directory``.
+
+    Each file holds the bytes ``write_similarity_csv`` writes for the pair's
+    series, formatted straight from the cosine matrix of each date: no
+    ``SimilaritySeries`` is built. Files of an earlier run are overwritten in
+    place rather than removed and created anew, which is the slower of the
+    two on ext4.
     """
-    directory = os.fspath(directory)
-    os.makedirs(directory, exist_ok=True)
+    dates, values, both = _pair_cosines(frame, pairs)
+    lines = [[_similarity_line(end, value) for value in column] for end, column in zip(dates, values.T.tolist())]
+    prefix = os.path.join(os.fspath(directory), "")
+    os.makedirs(prefix, exist_ok=True)
     written = set()
-    for s in series:
-        name = f"{s.pair[0]}_{s.pair[1]}.csv"
-        write_similarity_csv(s, os.path.join(directory, name))
+    for (a, b), pair_lines, there in zip(pairs, zip(*lines), both.tolist()):
+        name = f"{a}_{b}.csv"
+        _overwrite(prefix + name, "".join([_SIMILARITY_HEADER, *compress(pair_lines, there)]).encode())
         written.add(name)
-    for name in os.listdir(directory):
+    for name in os.listdir(prefix):
         if name.endswith(".csv") and name not in written:
-            os.unlink(os.path.join(directory, name))
+            os.unlink(prefix + name)
 
 
 def write_pca_csv(projection: PcaProjection, path: str | Path) -> None:

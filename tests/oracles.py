@@ -6,6 +6,12 @@ the restart recurrence one scalar at a time, and the finite-difference helper
 perturbs one parameter entry at a time; the similarity oracle takes one
 ``np.dot`` per pair and date and writes with ``csv.writer``; the fusion oracle
 runs the autoencoder graph by graph with one 2-D product per graph and layer.
+
+``discretize_reference``, ``mi_bits_from_counts_reference`` and
+``lagged_mi_matrix_reference`` are the graph-stage kernels as they were before
+binning by order statistics and (S-1)-state counts: a stable argsort ranking,
+full S-state one-hot GEMMs and the direct MI formula. The library's kernels
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import io
 import math
 
 import numpy as np
+
+from leadlag_fuse.leadlag import _EXACT_COUNT_ROWS, _SOURCE_BLOCK, shift_split
 
 
 def mi_bits_oracle(xs, ys, states_x: int, states_y: int) -> float:
@@ -163,3 +171,49 @@ def fusion_loop_oracle(model, x):
     for g, chunk in enumerate(np.split(g_concat, graphs, axis=1)):
         _copy_backward(enc, g, *enc_runs[g][:2], chunk, grads[0])
     return loss, grads, se[2]
+
+
+def discretize_reference(values, states: int = 4) -> np.ndarray:
+    """States of an equal-frequency binning by rank: a stable argsort, ties by row index."""
+    v = np.asarray(values, dtype=float)
+    n = v.shape[0]
+    order = np.argsort(v, axis=0, kind="stable")
+    ranks = np.empty(v.shape, dtype=np.int64)
+    rank_of_position = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (v.ndim - 1))
+    np.put_along_axis(ranks, order, rank_of_position, axis=0)
+    ranks *= states
+    ranks //= n
+    return ranks
+
+
+def mi_bits_from_counts_reference(counts: np.ndarray) -> np.ndarray:
+    """Plug-in MI in bits from contingency counts over the last two axes, by the direct formula."""
+    counts = np.asarray(counts, dtype=float)
+    total = counts.sum(axis=(-2, -1), keepdims=True)
+    joint = counts / total
+    px = joint.sum(axis=-1, keepdims=True)
+    py = joint.sum(axis=-2, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log2(joint) - np.log2(px) - np.log2(py)
+        terms = np.where(joint > 0.0, joint * log_ratio, 0.0)
+    return terms.sum(axis=(-2, -1))
+
+
+def _one_hot_reference(codes: np.ndarray, states: int) -> np.ndarray:
+    return (codes[:, :, np.newaxis] == np.arange(states)).reshape(codes.shape[0], -1).astype(np.float32)
+
+
+def lagged_mi_matrix_reference(returns, lag: int, states: int = 4) -> np.ndarray:
+    """The lagged MI matrix from all S x S cells of every table, one S-state GEMM per source block."""
+    past, future = shift_split(returns, lag)
+    rows, n = past.shape
+    assert states <= rows <= _EXACT_COUNT_ROWS
+    xs = discretize_reference(past, states)
+    y = _one_hot_reference(xs if lag == 0 else discretize_reference(future, states), states)
+    mi = np.empty((n, n), dtype=float)
+    for lo in range(0, n, _SOURCE_BLOCK):
+        hi = min(lo + _SOURCE_BLOCK, n)
+        joint = _one_hot_reference(xs[:, lo:hi], states).T @ y
+        counts = joint.reshape(hi - lo, states, n, states).transpose(0, 2, 1, 3)
+        mi[lo:hi] = mi_bits_from_counts_reference(np.ascontiguousarray(counts, dtype=float))
+    return np.maximum(mi, 0.0)

@@ -28,6 +28,8 @@ from leadlag_fuse.pipeline import (
     load_embeddings_csv,
     load_graph_artifacts,
     run_dynamic_fusion,
+    similarity_series,
+    write_similarity_csv,
 )
 from leadlag_fuse.synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic, synthetic_returns
 
@@ -383,9 +385,14 @@ class TestCliDispatch:
             assert main([*base, "postprocess"]) == EXIT_OK
             files = sorted((out / "similarity").glob("*.csv"))
             assert len(files) == 6
+            frame = load_embeddings_csv(embeddings)
             for path in files:
                 a, b = path.stem.split("_")
-                assert path.read_bytes() == similarity_csv_oracle(embeddings, a, b), path.name
+                expected = similarity_csv_oracle(embeddings, a, b)
+                assert path.read_bytes() == expected, path.name
+                # the library writer of one series gives the same bytes as the directory writer
+                write_similarity_csv(similarity_series(frame, (a, b)), root / "series.csv")
+                assert (root / "series.csv").read_bytes() == expected, path.name
         assert f"{ends[0]},\r\n".encode() in (out / "similarity" / "A00_A02.csv").read_bytes()
         assert str(ends[1]).encode() not in (out / "similarity" / "A00_A03.csv").read_bytes()
 

@@ -342,6 +342,15 @@ class TestEmbeddings:
                     assert np.shares_memory(layer.weight, m.params)
                     assert np.shares_memory(layer.bias, m.params)
 
+    def test_model_file_is_the_stream_encoder_text(self, tmp_path):
+        # json.dump (the pure-Python encoder) and json.dumps (the C encoder) write the same text
+        save_model(FusionModel(TINY, seed=19), tmp_path / "model.json")
+        text = (tmp_path / "model.json").read_text(encoding="utf-8")
+        with open(tmp_path / "streamed.json", "w", encoding="utf-8") as fh:
+            json.dump(json.loads(text), fh)
+            fh.write("\n")
+        assert (tmp_path / "streamed.json").read_text(encoding="utf-8") == text
+
     @pytest.mark.parametrize("edit", ["input_dim", "extra_encoder"])
     def test_checkpoint_layers_must_match_architecture(self, tmp_path, edit):
         arch = FusionArchitecture(graph_count=2, input_dim=6, per_graph_dims=(4, 3), shared_dims=(4,), embedding_dim=3)

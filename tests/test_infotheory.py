@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from oracles import mi_bits_oracle
+from oracles import discretize_reference, mi_bits_from_counts_reference, mi_bits_oracle
 from leadlag_fuse.infotheory import (
     DiscreteSeries,
     MiTestConfig,
+    _mi_bits_from_counts,
     discretize_equal_frequency,
     gamma_cdf,
     gamma_quantile,
@@ -47,6 +48,14 @@ class TestDiscretize:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
             discretize_equal_frequency([1.0, 2.0, 3.0], 4)
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ValueError, match="cannot bin 2 non-finite values"):
+            discretize_equal_frequency([1.0, np.nan, 0.5, 2.0, -1.0, np.inf, 3.0, 0.0], 4)
+        block = np.ones((6, 3))
+        block[4, 1] = -np.inf
+        with pytest.raises(ValueError, match="cannot bin 1 non-finite values"):
+            discretize_equal_frequency(block, 2)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(11)
@@ -91,6 +100,51 @@ class TestDiscretizeBlock:
         d = discretize_equal_frequency(self.block(), 4)
         with pytest.raises(ValueError, match="two series"):
             mutual_information_bits(d, d)
+
+
+def _reference_grid_blocks():
+    """Blocks of the reference grid: N not divisible by S, 30% and 80% ties, a constant column, signed zeros."""
+    rng = np.random.default_rng(2024)
+    for states in range(1, 10):
+        rows = 7 * states + 3  # never a multiple of states above 1
+        for kind in ("distinct", "ties30", "ties80", "constant", "signed-zeros"):
+            block = rng.standard_normal((rows, 6))
+            if kind == "ties30":
+                block[rng.random(block.shape) < 0.3] = 0.0
+            elif kind == "ties80":
+                block[rng.random(block.shape) < 0.8] = 0.0
+            elif kind == "constant":
+                block[:, 2] = 0.25
+            elif kind == "signed-zeros":
+                block = rng.integers(-2, 3, block.shape).astype(float)
+                block[(block == 0.0) & (rng.random(block.shape) < 0.5)] = -0.0
+            yield states, kind, block
+
+
+class TestKernelsMatchReferences:
+    """The binning and MI-from-counts kernels equal the direct formulas of ``oracles`` bit for bit."""
+
+    @pytest.mark.parametrize("states, kind, block", list(_reference_grid_blocks()))
+    def test_binning_equals_stable_rank_binning(self, states, kind, block):
+        assert np.array_equal(discretize_equal_frequency(block, states).states, discretize_reference(block, states))
+        for column in block.T:
+            assert np.array_equal(discretize_equal_frequency(column, states).states, discretize_reference(column, states))
+
+    def test_ties_go_to_the_earlier_rows(self):
+        values = [0.0, 1.0, 0.0, -1.0, 0.0, 0.0, -0.0, 2.0]
+        assert discretize_equal_frequency(values, 4).states.tolist() == [0, 3, 1, 0, 1, 2, 2, 3]
+
+    @pytest.mark.parametrize("states", range(1, 10))
+    def test_mi_from_counts_equals_direct_formula(self, states):
+        rng = np.random.default_rng(states)
+        counts = rng.integers(0, 60, (5, 7, states, states)).astype(float)
+        counts[..., 0, 0] += 1.0  # every table holds a count
+        counts[0, 0, 1:] = 0.0  # every source state but the first is empty
+        counts[1, 2, :, 1:] = 0.0  # every target state but the first is empty
+        counts[2, 3] = rng.integers(1, 1000) * np.eye(states)  # fully dependent
+        assert np.array_equal(_mi_bits_from_counts(counts), mi_bits_from_counts_reference(counts))
+        for table in counts[:, 0]:
+            assert np.array_equal(_mi_bits_from_counts(table), mi_bits_from_counts_reference(table))
 
 
 class TestMutualInformation:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import mi_bits_oracle
+from oracles import lagged_mi_matrix_reference, mi_bits_oracle
 from leadlag_fuse import leadlag
 from leadlag_fuse.infotheory import MiTestConfig, discretize_equal_frequency, significance_threshold
 from leadlag_fuse.leadlag import (
@@ -139,6 +139,17 @@ class TestBlockKernel:
         mi = lagged_mi_matrix(rm, lag, 4)
         assert mi.shape == (n, n)
         assert np.allclose(mi, oracle_mi_matrix(rm, lag), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("lag", range(4))
+    @pytest.mark.parametrize("n", [1, 32, 33, 200])
+    @pytest.mark.parametrize("states", range(1, 10))
+    def test_equals_full_table_reference(self, states, n, lag):
+        # (S-1)-state GEMMs plus marginal fix-ups against all S x S cells from S-state GEMMs
+        r = illiquid_returns(100 * states + n + lag, 5 * states + lag + 4, n)
+        r[:, n // 2 :][np.random.default_rng(n).random((r.shape[0], n - n // 2)) < 0.3] = 0.0
+        r[:, -1] = 0.0  # a constant column
+        rm = make_returns(r)
+        assert np.array_equal(lagged_mi_matrix(rm, lag, states), lagged_mi_matrix_reference(rm, lag, states))
 
     @pytest.mark.parametrize("lag, calls", [(0, 1), (1, 2), (2, 2)])
     def test_one_discretization_per_block(self, monkeypatch, lag, calls):

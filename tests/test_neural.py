@@ -134,6 +134,20 @@ class TestAdam:
         assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
         assert losses[-1] < 1.0  # moved most of the way to the optimum
 
+    def test_steps_equal_the_direct_formula(self):
+        rng = np.random.default_rng(30)
+        params = rng.standard_normal(257)
+        expected, m, v = params.copy(), np.zeros(257), np.zeros(257)
+        state = adam_init(params, learning_rate=0.01)
+        for t in range(1, 31):
+            grad = rng.standard_normal(257) * 10.0 ** rng.integers(-8, 4, 257)
+            adam_step(state, params, grad)
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * (grad * grad)
+            expected -= 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert np.array_equal(params, expected)
+            assert np.array_equal(state.first_moment, m) and np.array_equal(state.second_moment, v)
+
     def test_non_finite_gradient_rejected(self):
         params = np.zeros(2)
         state = adam_init(params)

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import similarity_csv_oracle
+from oracles import lagged_mi_matrix_reference, similarity_csv_oracle
+from leadlag_fuse import leadlag
 from leadlag_fuse.diffusion import node_features
 from leadlag_fuse.fusion import EmbeddingFrame
 from leadlag_fuse.leadlag import LagSpec
@@ -193,6 +194,33 @@ class TestWindowing:
         assert np.array_equal(serial.model.params, threaded.model.params)
 
 
+class TestGraphStageMatchesReferences:
+    def test_illiquid_panel_graphs_equal_reference_graphs(self, monkeypatch):
+        # 12 assets, two daily windows after a day that warms up the first, A00 -> A01 at
+        # lag 1, and six assets with 80% zero-return minutes: ties at every bin edge
+        rng = np.random.default_rng(5)
+        n, minutes = 12, 3 * 1440 - 1
+        returns = 0.001 * rng.standard_normal((minutes, n))
+        returns[1:, 1] = 0.8 * returns[:-1, 0] + 0.0005 * rng.standard_normal(minutes - 1)
+        returns[:, 6:][rng.random((minutes, 6)) < 0.8] = 0.0
+        prices = 100.0 * np.exp(np.vstack([np.zeros((1, n)), np.cumsum(returns, axis=0)]))
+        panel = PricePanel(
+            timestamps=T0 + MS_PER_MINUTE * np.arange(minutes + 1),
+            assets=tuple(f"A{i:02d}" for i in range(n)),
+            prices=prices,
+            period_minutes=1,
+        )
+        config = RunConfig()
+        graphs, ends, _, _ = build_graphs(config, panel)
+        monkeypatch.setattr(leadlag, "lagged_mi_matrix", lagged_mi_matrix_reference)
+        reference, reference_ends, _, _ = build_graphs(config, panel)
+        assert ends == reference_ends and len(graphs) == len(config.specs) * 2
+        for graph, expected in zip(graphs, reference):
+            assert (graph.spec, graph.window_end) == (expected.spec, expected.window_end)
+            assert np.array_equal(graph.weights, expected.weights), graph.spec.tag
+        assert all(g.weights[0, 1] > 0.0 for g in graphs if g.spec == LagSpec(1, 1))
+
+
 class TestFusedEmbeddingsCarryThePlantedLink:
     """The paper's static claim on the synthetic fixture (10 assets, 30 dates, A00 leads A01 at lag 1).
 
@@ -326,7 +354,7 @@ class TestOneCosineKernel:
         frame = frame_of(vectors, assets=assets * 2, ends=(1,) * n + (2,) * n)
         write_embeddings_csv(frame, tmp_path / "embeddings.csv")
         pairs = [(a, b) for i, a in enumerate(assets) for b in assets[i + 1 :]]
-        write_similarity_dir(similarity_series_batch(frame, pairs), tmp_path / "similarity")
+        write_similarity_dir(frame, pairs, tmp_path / "similarity")
         for a, b in pairs:
             written = (tmp_path / "similarity" / f"{a}_{b}.csv").read_bytes()
             assert written == similarity_csv_oracle(tmp_path / "embeddings.csv", a, b), (a, b)
