@@ -137,7 +137,8 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
 
     Dataclasses take their fields by name, ``X | None`` lets ``None`` through and
     ``str | tuple[...]`` a string, tuples convert element by element, and scalars
-    go through ``int``, ``float`` or ``str`` (which refuses a list or an object).
+    go through ``int``, ``float`` or ``str`` (which refuses a list or an object);
+    a number key refuses ``true`` and ``false``, which ``int`` would take as 1 and 0.
     """
     if is_dataclass(kind):
         if not isinstance(value, dict):
@@ -163,6 +164,8 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
         if len(kinds) != len(value):
             raise ConfigError(f"{path} must hold {len(kinds)} entries, got {len(value)}")
         return tuple(_from_tree(k, item, f"{path}.{i}") for i, (k, item) in enumerate(zip(kinds, value)))
+    if kind in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"{path} must be a number, got {json.dumps(value)}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path} must be a whole number, got {value!r}")
     if kind is str and isinstance(value, (dict, list)):

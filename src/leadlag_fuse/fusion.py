@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 1
+ENTRY_FORMAT_VERSION = 1  # of each MLP copy's entry in the model file
 
 
 @dataclass(frozen=True)
@@ -408,14 +409,28 @@ def extract_embeddings(
     )
 
 
+def _entries(mlp: Mlp) -> list[dict]:
+    """One checkpoint entry per stacked copy of ``mlp``, each with its row-major (out, in) weights."""
+    return [
+        {
+            "format_version": ENTRY_FORMAT_VERSION,
+            "dims": list(mlp.dims),
+            "activations": [layer.activation for layer in mlp.layers],
+            "weights": [layer.weight[c].ravel().tolist() for layer in mlp.layers],
+            "biases": [layer.bias[c].tolist() for layer in mlp.layers],
+        }
+        for c in range(mlp.count)
+    ]
+
+
 def save_model(model: FusionModel, path: str | Path) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "architecture": asdict(model.architecture),
-        "graph_encoders": neural.mlp_to_dicts(model.graph_encoder),
-        "shared_encoder": neural.mlp_to_dicts(model.shared_encoder)[0],
-        "shared_decoder": neural.mlp_to_dicts(model.shared_decoder)[0],
-        "graph_decoders": neural.mlp_to_dicts(model.graph_decoder),
+        "graph_encoders": _entries(model.graph_encoder),
+        "shared_encoder": _entries(model.shared_encoder)[0],
+        "shared_decoder": _entries(model.shared_decoder)[0],
+        "graph_decoders": _entries(model.graph_decoder),
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -426,18 +441,23 @@ def save_model(model: FusionModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FusionModel:
+    """The model of a ``save_model`` file; each checked entry is written straight into ``params``."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version: {payload.get('format_version')}")
     model = FusionModel(FusionArchitecture(**payload["architecture"]), seed=0)
-    shared = [payload["shared_encoder"]], [payload["shared_decoder"]]
-    saved = [neural.mlp_from_dicts(d) for d in (payload["graph_encoders"], *shared, payload["graph_decoders"])]
-    plan = lambda mlps: [(mlp.count, mlp.dims, [layer.activation for layer in mlp.layers]) for mlp in mlps]
-    if plan(saved) != plan(model._mlps()):
-        raise ValueError(f"saved layers {plan(saved)} do not match the architecture's {plan(model._mlps())}")
-    for mlp, loaded in zip(model._mlps(), saved):
-        for layer, saved_layer in zip(mlp.layers, loaded.layers):
-            layer.weight[:] = saved_layer.weight
-            layer.bias[:] = saved_layer.bias
+    for mlp, key in zip(model._mlps(), ("graph_encoders", "shared_encoder", "shared_decoder", "graph_decoders")):
+        entries = payload[key] if key.startswith("graph") else [payload[key]]
+        plan = (list(mlp.dims), [layer.activation for layer in mlp.layers])
+        if any(entry.get("format_version") != ENTRY_FORMAT_VERSION for entry in entries):
+            raise ValueError(f"unsupported format version of a {key} entry")
+        if len(entries) != mlp.count or any((entry["dims"], entry["activations"]) != plan for entry in entries):
+            raise ValueError(f"saved {key} do not match the architecture's {mlp.count} copies of {plan}")
+        for c, entry in enumerate(entries):
+            for layer, weight, bias in zip(mlp.layers, entry["weights"], entry["biases"], strict=True):
+                layer.weight[c] = np.reshape(weight, layer.weight.shape[1:])
+                layer.bias[c] = np.reshape(bias, layer.bias.shape[1:])
+    if not np.all(np.isfinite(model.params)):
+        raise ValueError(f"{Path(path).name}: stored parameters must be finite")
     return model

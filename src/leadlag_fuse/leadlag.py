@@ -296,15 +296,22 @@ def load_graph(csv_path: str | Path, json_path: str | Path) -> LeadLagGraph:
     index = {a: i for i, a in enumerate(assets)}
     n = len(assets)
     weights = np.zeros((n, n), dtype=float)
+    name = Path(csv_path).name
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["source", "target", "weight"]:
-            raise ValueError(f"{Path(csv_path).name}: expected header 'source,target,weight'")
-        for row in reader:
+            raise ValueError(f"{name}: expected header 'source,target,weight'")
+        for number, row in enumerate(reader, start=1):
             if not row:
                 continue
-            i, j, w = index[row[0]], index[row[1]], float(row[2])
+            try:
+                source, target, weight = row
+                i, j, w = index[source], index[target], float(weight)
+            except KeyError as exc:
+                raise ValueError(f"{name}: row {number}: asset {exc} is not in the sidecar's asset list") from exc
+            except ValueError as exc:
+                raise ValueError(f"{name}: row {number}: {exc}") from exc
             weights[i, j] = w
             weights[j, i] = w
     spec = LagSpec(

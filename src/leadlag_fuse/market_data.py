@@ -4,6 +4,7 @@ Input files are one CSV per asset with header ``timestamp,price``; timestamps
 are epoch milliseconds on a uniform base-period grid. Assets are aligned on
 the intersection of their covered time ranges, interior gaps are filled with
 the last observed price, and assets are ordered lexicographically.
+Both price formats, these files and the aligned panel, are written here too.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "load_prices",
     "resample",
     "log_returns",
+    "write_price_files",
     "write_panel_csv",
     "load_panel_csv",
 ]
@@ -228,15 +230,34 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_panel_csv(panel: PricePanel, path: str | Path) -> None:
-    path = Path(path)
+def _write_price_table(path: Path, columns: Sequence[str], timestamps: np.ndarray, prices: np.ndarray) -> None:
+    """A ``timestamp,<columns>`` CSV as ``csv.writer`` writes it: CRLF line ends, each price its float ``repr``.
+
+    Blocks of ~2**11 cells: one tolist() of the whole matrix would hold a Python
+    float per cell, and one numpy call per row costs more than a short row's text.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    width = prices.shape[1]
+    block = max(1, (1 << 11) // width)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["timestamp", *panel.assets])
-        # One row at a time: converting the whole matrix with tolist() at once
-        # holds a Python float per cell and raises peak memory.
-        for t, row in zip(panel.timestamps.tolist(), panel.prices):
-            fh.write(f"{t}," + ",".join(map(repr, row.tolist())) + "\r\n")
+        csv.writer(fh).writerow(["timestamp", *columns])
+        for start in range(0, len(timestamps), block):
+            cells = map(repr, prices[start : start + block].ravel().tolist())
+            # zip over ``width`` references to one iterator takes each row's cells in turn
+            rows = zip(map(str, timestamps[start : start + block].tolist()), *[cells] * width)
+            fh.write("".join(map("{}\r\n".format, map(",".join, rows))))
+
+
+def write_price_files(panel: PricePanel, out_dir: str | Path) -> list[Path]:
+    """One ``timestamp,price`` CSV per asset, named after it, as ``load_prices`` reads them."""
+    paths = [Path(out_dir) / f"{asset}.csv" for asset in panel.assets]
+    for path, column in zip(paths, panel.prices.T):
+        _write_price_table(path, ["price"], panel.timestamps, column[:, np.newaxis])
+    return paths
+
+
+def write_panel_csv(panel: PricePanel, path: str | Path) -> None:
+    _write_price_table(Path(path), panel.assets, panel.timestamps, panel.prices)
 
 
 def load_panel_csv(path: str | Path) -> PricePanel:

@@ -30,12 +30,9 @@ __all__ = [
     "AdamState",
     "adam_init",
     "adam_step",
-    "mlp_to_dicts",
-    "mlp_from_dicts",
 ]
 
 ACTIVATIONS = ("identity", "relu")
-CHECKPOINT_FORMAT_VERSION = 1
 
 
 @dataclass
@@ -235,34 +232,4 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray) -> None:
     np.multiply(np.divide(m, bc1, out=step), state.learning_rate, out=step)
     np.add(np.sqrt(np.divide(v, bc2, out=denominator), out=denominator), state.epsilon, out=denominator)
     params -= np.divide(step, denominator, out=step)
-
-
-def mlp_to_dicts(mlp: Mlp) -> list[dict]:
-    """One checkpoint entry per stacked copy, each with its row-major (out, in) weights."""
-    return [
-        {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "dims": list(mlp.dims),
-            "activations": [layer.activation for layer in mlp.layers],
-            "weights": [layer.weight[c].ravel().tolist() for layer in mlp.layers],
-            "biases": [layer.bias[c].tolist() for layer in mlp.layers],
-        }
-        for c in range(mlp.count)
-    ]
-
-
-def mlp_from_dicts(payloads: Sequence[dict]) -> Mlp:
-    """The MLP that stacks the entries of ``mlp_to_dicts``; they must share one layer plan."""
-    versions = {payload.get("format_version") for payload in payloads}
-    if versions != {CHECKPOINT_FORMAT_VERSION}:
-        raise ValueError(f"unsupported checkpoint format versions: {sorted(map(str, versions))}")
-    dims, activations = payloads[0]["dims"], payloads[0]["activations"]
-    if any(p["dims"] != dims or p["activations"] != activations for p in payloads):
-        raise ValueError("stacked checkpoint entries must share dims and activations")
-    layers = []
-    for i, act in enumerate(activations):
-        weight = np.asarray([p["weights"][i] for p in payloads], dtype=float)
-        bias = np.asarray([p["biases"][i] for p in payloads], dtype=float)
-        layers.append(DenseLayer(weight.reshape(len(payloads), dims[i + 1], dims[i]), bias, act))
-    return Mlp(layers=layers)
 

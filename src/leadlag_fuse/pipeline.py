@@ -601,12 +601,17 @@ def load_embeddings_csv(path: str | Path, universe: Sequence[str] | None = None)
         assets: list[str] = []
         ends: list[int] = []
         rows: list[list[float]] = []
-        for row in reader:
+        for number, row in enumerate(reader, start=1):
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path.name}: row {number}: {len(row)} fields, the header has {len(header)}")
+            try:
+                ends.append(int(row[1]))
+                rows.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{path.name}: row {number}: {exc}") from exc
             assets.append(row[0])
-            ends.append(int(row[1]))
-            rows.append([float(v) for v in row[2:]])
     if not rows:
         raise ValueError(f"{path.name}: no embedding rows")
     if universe is None:

@@ -8,13 +8,12 @@ which gives the graph stage a known directed link to recover.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .market_data import MS_PER_MINUTE, PricePanel, _fmt
+from .market_data import MS_PER_MINUTE, PricePanel, write_price_files
 
 __all__ = ["PlantedCoupling", "SyntheticSpec", "synthetic_returns", "synthetic_panel", "generate_synthetic"]
 
@@ -108,16 +107,4 @@ def synthetic_panel(spec: SyntheticSpec, seed: int) -> PricePanel:
 
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str | Path) -> list[Path]:
     """Write one ``timestamp,price`` CSV per asset; deterministic per seed."""
-    panel = synthetic_panel(spec, seed)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for j, asset in enumerate(panel.assets):
-        path = out_dir / f"{asset}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["timestamp", "price"])
-            for i, t in enumerate(panel.timestamps):
-                writer.writerow([int(t), _fmt(panel.prices[i, j])])
-        paths.append(path)
-    return paths
+    return write_price_files(synthetic_panel(spec, seed), out_dir)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -82,6 +84,22 @@ class TestSyntheticGeneration:
         generate_synthetic(spec, seed=9, out_dir=tmp_path / "a")
         generate_synthetic(spec, seed=9, out_dir=tmp_path / "b")
         assert tree_bytes(tmp_path / "a", "*.csv") == tree_bytes(tmp_path / "b", "*.csv")
+
+    def test_default_universe_files_are_pinned(self, tmp_path):
+        """The price files of ``SyntheticSpec()`` at seed 7 are byte-identical to the pinned digest.
+
+        Same recipe as ``digest_tree`` in ``perfbench/run.py``: files sorted by
+        path, each hashed as relative POSIX path, NUL, bytes, NUL. The prices
+        come from numpy's generator, ``cumsum`` and ``exp`` (numpy 2.4.6 here).
+        """
+        generate_synthetic(SyntheticSpec(), seed=7, out_dir=tmp_path)
+        digest = hashlib.sha256()
+        files = sorted(tmp_path.rglob("*"))
+        for path in files:
+            digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+        assert [p.name for p in files] == [f"A{i:02d}.csv" for i in range(10)]
+        assert sum(p.stat().st_size for p in files) == 14_892_030
+        assert digest.hexdigest() == "4db865d1ea448d93e6ac8e9ab0ad4162559baff1743b88c8c75a6166fd589f4e"
 
     def test_coupling_must_reference_known_assets(self):
         with pytest.raises(ValueError, match="unknown asset"):
@@ -221,6 +239,27 @@ class TestConfigHandling:
         code = main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "--set", assignment, stage])
         assert code == EXIT_CONFIG
         assert f"error: {key}:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "assignment, stage, key",
+        [
+            ("training.max_epochs=true", "fuse", "training.max_epochs"),
+            ("training.learning_rate=true", "fuse", "training.learning_rate"),
+            ("training.patience=false", "fuse", "training.patience"),
+            ("training.validation_fraction=false", "fuse", "training.validation_fraction"),
+            ('specs=[{"period_minutes": true, "lag": 0}]', "fuse", "specs.0.period_minutes"),
+            ("synth.days=true", "synth", "synth.days"),
+            ("seeds.data=false", "synth", "seeds.data"),
+        ],
+    )
+    def test_number_keys_reject_booleans(self, tmp_path, capsys, assignment, stage, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"n_assets": 2, "days": 1}}))
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "--set", assignment, stage])
+        assert code == EXIT_CONFIG
+        literal = "true" if "true" in assignment else "false"
+        assert f"{key} must be a number, got {literal}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_numeric_prices_dir_is_a_directory_name(self, tmp_path):
@@ -436,3 +475,53 @@ class TestExitCodes:
         code = main(["--config", str(config_path), "--out", str(tmp_path / "out"), "--quiet", "ingest"])
         assert code == EXIT_FAILURE
         assert "overlap" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def finished_run(workspace):
+    root, config_path = workspace
+    out = root / "finished"
+    assert main(["--config", str(config_path), "--out", str(out), "--quiet", "run-all"]) == EXIT_OK
+    return out
+
+
+def append_line(path, line):
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.write(line + "\r\n")
+
+
+class TestArtifactReadersNameTheFile:
+    """A malformed artifact stops the stage that reads it with exit 1 and names the file and row."""
+
+    @pytest.mark.parametrize(
+        "case, stage, message",
+        [
+            ("unknown_asset", "fuse", "asset 'A99' is not in the sidecar's asset list"),
+            ("bad_weight", "fuse", "could not convert string to float: 'x'"),
+            ("short_embedding", "postprocess", "3 fields, the header has"),
+            ("fractional_window_end", "postprocess", "invalid literal for int()"),
+        ],
+    )
+    def test_malformed_row(self, workspace, finished_run, tmp_path, capsys, case, stage, message):
+        _, config_path = workspace
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        if stage == "fuse":
+            target = sorted((out / "graphs" / "d1_T1").glob("*.csv"))[0]
+            append_line(target, "A99,A01,0.5" if case == "unknown_asset" else "A00,A01,x")
+        else:
+            target = out / "embeddings.csv"
+            lines = target.read_text(encoding="utf-8").splitlines()
+            if case == "short_embedding":
+                append_line(target, "A00,60000,0.1")
+            else:
+                asset, end, *values = lines[1].split(",")
+                lines[1] = ",".join([asset, f"{end}.5", *values])
+                target.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+        rows = len(target.read_text(encoding="utf-8").splitlines()) - 1
+        row = 1 if case == "fractional_window_end" else rows
+        code = main(["--config", str(config_path), "--out", str(out), "--quiet", stage])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert f"error: {target.name}: row {row}: " in err
+        assert message in err

@@ -351,15 +351,19 @@ class TestEmbeddings:
             fh.write("\n")
         assert (tmp_path / "streamed.json").read_text(encoding="utf-8") == text
 
-    @pytest.mark.parametrize("edit", ["input_dim", "extra_encoder"])
+    @pytest.mark.parametrize("edit", ["input_dim", "extra_encoder", "entry_dims", "activations"])
     def test_checkpoint_layers_must_match_architecture(self, tmp_path, edit):
         arch = FusionArchitecture(graph_count=2, input_dim=6, per_graph_dims=(4, 3), shared_dims=(4,), embedding_dim=3)
         save_model(FusionModel(arch, seed=22), tmp_path / "model.json")
         payload = json.loads((tmp_path / "model.json").read_text())
         if edit == "input_dim":
             payload["architecture"]["input_dim"] = 5
-        else:
+        elif edit == "extra_encoder":
             payload["graph_encoders"].append(payload["graph_encoders"][0])
+        elif edit == "entry_dims":
+            payload["graph_decoders"][1]["dims"][-1] = 5
+        else:
+            payload["shared_encoder"]["activations"][0] = "identity"
         (tmp_path / "model.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="do not match"):
             load_model(tmp_path / "model.json")
@@ -367,3 +371,48 @@ class TestEmbeddings:
     def test_frame_validation(self):
         with pytest.raises(ValueError, match="matching"):
             EmbeddingFrame(asset_ids=("A",), window_ends=(1, 2), vectors=np.zeros((1, 3)), universe=("A",))
+
+
+class TestCheckpoint:
+    """``model.json`` as ``save_model`` writes it and ``load_model`` reads it."""
+
+    def saved_payload(self, tmp_path):
+        save_model(FusionModel(TINY, seed=23), tmp_path / "model.json")
+        return json.loads((tmp_path / "model.json").read_text())
+
+    def test_round_trip_bitwise(self, tmp_path):
+        model = FusionModel(TINY, seed=23)
+        train(model, make_samples(np.random.default_rng(23), 12), 1, TrainingSettings(max_epochs=3))
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert np.array_equal(loaded.params, model.params)
+        activations = lambda m: [layer.activation for mlp in m._mlps() for layer in mlp.layers]
+        assert activations(loaded) == activations(model)
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+    def test_version_checked(self, tmp_path):
+        for edit in ("file", "entry"):
+            payload = self.saved_payload(tmp_path)
+            if edit == "file":
+                payload["format_version"] = 99
+            else:
+                payload["graph_decoders"][0]["format_version"] = 99
+            (tmp_path / "model.json").write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="version"):
+                load_model(tmp_path / "model.json")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        payload = self.saved_payload(tmp_path)
+        payload["shared_decoder"]["biases"][0][1] = value
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="finite"):
+            load_model(tmp_path / "model.json")
+
+    def test_entry_of_the_wrong_size_rejected(self, tmp_path):
+        payload = self.saved_payload(tmp_path)
+        payload["graph_encoders"][1]["weights"][0].pop()
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="reshape"):
+            load_model(tmp_path / "model.json")

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,8 +11,6 @@ from leadlag_fuse.neural import (
     forward,
     init_mlp,
     layer_views,
-    mlp_from_dicts,
-    mlp_to_dicts,
 )
 
 
@@ -176,20 +172,3 @@ class TestInit:
                 DenseLayer(weight=np.zeros((1, 3, 2)), bias=np.zeros((1, 3)), activation="relu"),
                 DenseLayer(weight=np.zeros((1, 2, 4)), bias=np.zeros((1, 2)), activation="relu"),
             ])
-
-
-class TestCheckpoint:
-    def test_round_trip_bitwise(self):
-        mlp = init_mlp([5, 4, 2], ["relu", "identity"], 123)
-        loaded = mlp_from_dicts(json.loads(json.dumps(mlp_to_dicts(mlp))))
-        assert loaded.dims == mlp.dims
-        for la, lb in zip(mlp.layers, loaded.layers):
-            assert la.activation == lb.activation
-            assert np.array_equal(la.weight, lb.weight)
-            assert np.array_equal(la.bias, lb.bias)
-
-    def test_version_checked(self):
-        payload = mlp_to_dicts(init_mlp([2, 2], ["relu"], 0))
-        payload[0]["format_version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            mlp_from_dicts(payload)
