@@ -138,7 +138,8 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
     Dataclasses take their fields by name, ``X | None`` lets ``None`` through and
     ``str | tuple[...]`` a string, tuples convert element by element, and scalars
     go through ``int``, ``float`` or ``str`` (which refuses a list or an object);
-    a number key refuses ``true`` and ``false``, which ``int`` would take as 1 and 0.
+    a number key refuses ``true`` and ``false``, which ``int`` would take as 1 and 0,
+    and a string key refuses them too, which ``str`` would take as ``'True'``.
     """
     if is_dataclass(kind):
         if not isinstance(value, dict):
@@ -168,8 +169,8 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
         raise ConfigError(f"{path} must be a number, got {json.dumps(value)}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path} must be a whole number, got {value!r}")
-    if kind is str and isinstance(value, (dict, list)):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    if kind is str and isinstance(value, (dict, list, bool)):
+        raise ConfigError(f"{path}: expected a string, got {json.dumps(value)}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -288,9 +289,10 @@ def stage_fuse(out_dir: Path, config: dict, graphs=None, usable_ends=None):
     model, report, frame = pipeline.fit(run_config, graphs, usable_ends)
     pipeline.write_embeddings_csv(frame, out_dir / "embeddings.csv")
     fusion.save_model(model, out_dir / "model.json")
-    payload = {**asdict(report), "embedding_count": len(frame), "embedding_dim": frame.embedding_dim}
+    count = len(frame.window_ends) * len(frame.universe)
+    payload = {**asdict(report), "embedding_count": count, "embedding_dim": frame.embedding_dim}
     _update_report(out_dir, "training", payload, config)
-    logger.info("trained fusion model on %d samples; %d embeddings", report.config["n_samples"], len(frame))
+    logger.info("trained fusion model on %d samples; %d embeddings", report.config["n_samples"], count)
     return frame
 
 
@@ -306,12 +308,12 @@ def stage_postprocess(out_dir: Path, config: dict, frame=None):
         pairs = [(a, b) for i, a in enumerate(universe) for b in universe[i + 1 :]]
     else:
         pairs = list(run_config.similarity_pairs)
-    pipeline.write_similarity_dir(frame, pairs, out_dir / "similarity")
+    pipeline.write_similarity_csv(frame, pairs, out_dir / "similarity")
     projection = pipeline.pca_project(frame, run_config.pca_components)
     pipeline.write_pca_csv(projection, out_dir / "pca.csv")
     payload = {
         "similarity_pairs": len(pairs),
-        "pca_components": int(projection.coordinates.shape[1]),
+        "pca_components": int(projection.coordinates.shape[2]),
         "pca_explained_variance": [float(v) for v in projection.explained_variance],
     }
     _update_report(out_dir, "postprocess", payload, config)

@@ -354,40 +354,25 @@ def train(
 
 @dataclass
 class EmbeddingFrame:
-    """Fused embeddings keyed by (asset id, window-end timestamp)."""
+    """Fused embeddings on a dense grid: ``vectors[d, a]`` is ``universe[a]`` at ``window_ends[d]``."""
 
-    asset_ids: tuple[str, ...]  # per record
-    window_ends: tuple[int, ...]  # per record, epoch ms
-    vectors: np.ndarray  # (records, embedding_dim)
-    universe: tuple[str, ...]  # full asset ordering of the run
+    universe: tuple[str, ...]  # asset ordering of the run
+    window_ends: tuple[int, ...]  # strictly increasing, epoch ms
+    vectors: np.ndarray  # (dates, assets, embedding_dim)
 
     def __post_init__(self) -> None:
-        vectors = np.asarray(self.vectors, dtype=float)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "asset_ids", tuple(self.asset_ids))
-        object.__setattr__(self, "window_ends", tuple(int(t) for t in self.window_ends))
-        object.__setattr__(self, "universe", tuple(self.universe))
-        if vectors.ndim != 2 or vectors.shape[0] != len(self.asset_ids) or len(self.window_ends) != len(self.asset_ids):
-            raise ValueError("asset_ids, window_ends and vectors must have matching lengths")
-        self._index = {(a, t): i for i, (a, t) in enumerate(zip(self.asset_ids, self.window_ends))}
-
-    def __len__(self) -> int:
-        return len(self.asset_ids)
+        self.universe = tuple(self.universe)
+        self.window_ends = tuple(int(t) for t in self.window_ends)
+        self.vectors = np.asarray(self.vectors, dtype=float)
+        dates, assets = len(self.window_ends), len(self.universe)
+        if self.vectors.ndim != 3 or self.vectors.shape[:2] != (dates, assets):
+            raise ValueError(f"vectors have shape {self.vectors.shape}, expected ({dates}, {assets}, embedding_dim)")
+        if any(b <= a for a, b in zip(self.window_ends, self.window_ends[1:])):
+            raise ValueError("window_ends must be strictly increasing")
 
     @property
     def embedding_dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def dates(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.window_ends)))
-
-    def lookup(self, asset: str, window_end: int) -> np.ndarray | None:
-        i = self._index.get((asset, int(window_end)))
-        return None if i is None else self.vectors[i]
-
-    def assets_at(self, window_end: int) -> tuple[str, ...]:
-        present = {a for a, t in self._index if t == int(window_end)}
-        return tuple(a for a in self.universe if a in present)
+        return self.vectors.shape[2]
 
 
 def extract_embeddings(
@@ -396,17 +381,12 @@ def extract_embeddings(
     universe: Sequence[str],
     window_ends: Sequence[int],
 ) -> EmbeddingFrame:
-    """One embedding per sample row; row ``d * len(universe) + a`` is asset ``a`` at date ``d``."""
+    """One embedding per sample row; row ``d * len(universe) + a`` becomes ``vectors[d, a]``."""
     x = _check_samples(model, samples)
     n = len(universe)
     if x.shape[1] != len(window_ends) * n:
         raise ValueError(f"{x.shape[1]} sample rows, expected {len(window_ends)} dates x {n} assets")
-    return EmbeddingFrame(
-        asset_ids=tuple(universe) * len(window_ends),
-        window_ends=tuple(t for t in window_ends for _ in range(n)),
-        vectors=model.encode_batch(x),
-        universe=tuple(universe),
-    )
+    return EmbeddingFrame(universe, window_ends, model.encode_batch(x).reshape(len(window_ends), n, -1))
 
 
 def _entries(mlp: Mlp) -> list[dict]:

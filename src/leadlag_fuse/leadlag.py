@@ -290,9 +290,24 @@ def write_graph(graph: LeadLagGraph, csv_path: str | Path, json_path: str | Path
 
 def load_graph(csv_path: str | Path, json_path: str | Path) -> LeadLagGraph:
     """Rebuild a graph from its edge list and sidecar; adjacency is recomputed."""
-    with open(json_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    assets = tuple(meta["assets"])
+    sidecar = Path(json_path).name
+    try:
+        with open(json_path, encoding="utf-8") as fh:
+            meta = json.load(fh)
+        assets = tuple(meta["assets"])
+        spec = LagSpec(
+            period_minutes=meta["spec"]["period_minutes"],
+            lag=meta["spec"]["lag"],
+            window_rows=meta["spec"].get("window_rows"),
+        )
+        window_end = int(meta["window_end"])
+        link_count = int(meta["validated_link_count"])
+        sample_size = int(meta["sample_size"])
+        threshold_bits = float(meta["threshold_bits"])
+    except KeyError as exc:
+        raise ValueError(f"{sidecar}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # malformed JSON, or a value of the wrong kind
+        raise ValueError(f"{sidecar}: {exc}") from exc
     index = {a: i for i, a in enumerate(assets)}
     n = len(assets)
     weights = np.zeros((n, n), dtype=float)
@@ -314,18 +329,13 @@ def load_graph(csv_path: str | Path, json_path: str | Path) -> LeadLagGraph:
                 raise ValueError(f"{name}: row {number}: {exc}") from exc
             weights[i, j] = w
             weights[j, i] = w
-    spec = LagSpec(
-        period_minutes=meta["spec"]["period_minutes"],
-        lag=meta["spec"]["lag"],
-        window_rows=meta["spec"].get("window_rows"),
-    )
     return LeadLagGraph(
         spec=spec,
-        window_end=int(meta["window_end"]),
+        window_end=window_end,
         assets=assets,
         weights=weights,
         adjacency=binarize(weights),
-        validated_link_count=int(meta["validated_link_count"]),
-        sample_size=int(meta["sample_size"]),
-        threshold_bits=float(meta["threshold_bits"]),
+        validated_link_count=link_count,
+        sample_size=sample_size,
+        threshold_bits=threshold_bits,
     )

@@ -22,7 +22,6 @@ import os
 import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -48,7 +47,6 @@ __all__ = [
     "TrainingSettings",
     "ModelSettings",
     "RunConfig",
-    "SimilaritySeries",
     "PcaProjection",
     "RunResult",
     "select_window_ends",
@@ -59,7 +57,6 @@ __all__ = [
     "cosine_matrix",
     "cosine_similarity",
     "similarity_series",
-    "similarity_series_batch",
     "similarity_matrix",
     "symmetric_eigh_jacobi",
     "pca_project",
@@ -67,7 +64,6 @@ __all__ = [
     "write_embeddings_csv",
     "load_embeddings_csv",
     "write_similarity_csv",
-    "write_similarity_dir",
     "write_pca_csv",
     "write_graph_artifacts",
     "load_graph_artifacts",
@@ -144,18 +140,10 @@ class RunConfig:
 
 
 @dataclass
-class SimilaritySeries:
-    """Cosine similarity of one asset pair through time; None marks undefined."""
-
-    pair: tuple[str, str]
-    entries: tuple[tuple[int, float | None], ...]
-
-
-@dataclass
 class PcaProjection:
-    asset_ids: tuple[str, ...]
+    universe: tuple[str, ...]
     window_ends: tuple[int, ...]
-    coordinates: np.ndarray  # (records, components)
+    coordinates: np.ndarray  # (dates, assets, components), on the frame's grid
     components: np.ndarray  # (components, embedding_dim), orthonormal rows
     explained_variance: np.ndarray  # (components,), non-increasing
 
@@ -369,74 +357,28 @@ def cosine_similarity(z_i: np.ndarray, z_j: np.ndarray) -> float | None:
     return None if np.isnan(value) else float(value)
 
 
-def _date_blocks(frame: EmbeddingFrame, assets: Sequence[str]) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The frame's dates, each date's ``(len(assets), k)`` block and the presence mask.
+def similarity_series(frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """The (pairs, dates) cosines of each pair at each window end; NaN where a cosine is undefined.
 
-    Rows are grouped by date in one pass; an asset without an embedding at a
-    date has a zero row there and ``present[d, i]`` False.
+    They are read from one ``cosine_matrix`` of the whole universe per date.
     """
-    dates = frame.dates()
-    row_of = {a: i for i, a in enumerate(assets)}
-    rows = np.array([row_of.get(a, -1) for a in frame.asset_ids], dtype=np.intp)
-    days = np.searchsorted(np.array(dates, dtype=np.int64), np.array(frame.window_ends, dtype=np.int64))
-    keep = rows >= 0
-    blocks = np.zeros((len(dates), len(assets), frame.embedding_dim))
-    present = np.zeros((len(dates), len(assets)), dtype=bool)
-    blocks[days[keep], rows[keep]] = frame.vectors[keep]
-    present[days[keep], rows[keep]] = True
-    return dates, blocks, present
-
-
-def _pair_cosines(
-    frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The frame's dates, the (pairs, dates) cosines and where both assets of a pair are present.
-
-    The cosines are read from one ``cosine_matrix`` per date; NaN marks an
-    undefined cosine (a zero-norm embedding). ``both[p, d]`` is False where
-    either asset of pair ``p`` has no embedding at date ``d``.
-    """
-    known = set(frame.asset_ids)
-    assets = list(dict.fromkeys(a for pair in pairs for a in pair))
-    for asset in assets:
-        if asset not in known:
+    position = {a: i for i, a in enumerate(frame.universe)}
+    for asset in (a for pair in pairs for a in pair):
+        if asset not in position:
             raise ValueError(f"unknown asset {asset!r}")
-    position = {a: i for i, a in enumerate(assets)}
     first = np.array([position[a] for a, _ in pairs], dtype=np.intp)
     second = np.array([position[b] for _, b in pairs], dtype=np.intp)
-    dates, blocks, present = _date_blocks(frame, assets)
-    values = np.empty((len(pairs), len(dates)))
-    for d, block in enumerate(blocks):
+    values = np.empty((len(pairs), len(frame.window_ends)))
+    for d, block in enumerate(frame.vectors):
         values[:, d] = cosine_matrix(block)[first, second]
-    both = present[:, first].T & present[:, second].T
-    return dates, values, both
-
-
-def similarity_series_batch(frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]]) -> list[SimilaritySeries]:
-    """The similarity series of every pair, read from one ``cosine_matrix`` per date.
-
-    A pair's series skips the dates where either asset has no embedding.
-    """
-    dates, values, both = _pair_cosines(frame, pairs)
-    cells = values.astype(object)
-    cells[np.isnan(values)] = None
-    return [
-        SimilaritySeries(pair=(a, b), entries=tuple(compress(zip(dates, row), mask)))
-        for (a, b), row, mask in zip(pairs, cells.tolist(), both.tolist())
-    ]
-
-
-def similarity_series(frame: EmbeddingFrame, pair: tuple[str, str]) -> SimilaritySeries:
-    """Cosine similarity of one pair at every window end where both are present."""
-    return similarity_series_batch(frame, [tuple(pair)])[0]
+    return values
 
 
 def similarity_matrix(frame: EmbeddingFrame, window_end: int) -> np.ndarray:
-    """Symmetric pairwise-cosine matrix at one date; undefined entries are NaN."""
-    assets = frame.assets_at(window_end)
-    if not assets:
+    """Symmetric pairwise-cosine matrix of the universe at one date; undefined entries are NaN."""
+    if window_end not in frame.window_ends:
         raise ValueError(f"no embeddings at window end {window_end}")
-    return cosine_matrix(np.stack([frame.lookup(a, window_end) for a in assets]))
+    return cosine_matrix(frame.vectors[frame.window_ends.index(window_end)])
 
 
 # --- PCA ------------------------------------------------------------------------
@@ -504,7 +446,7 @@ def pca_project(frame: EmbeddingFrame, components: int = 2) -> PcaProjection:
     If fewer directions are supported by the data, the available ones are
     returned with a warning.
     """
-    x = frame.vectors
+    x = frame.vectors.reshape(-1, frame.embedding_dim)
     m, dim = x.shape
     if m < components + 1:
         raise ValueError(f"need at least {components + 1} samples for {components} components, got {m}")
@@ -520,9 +462,9 @@ def pca_project(frame: EmbeddingFrame, components: int = 2) -> PcaProjection:
         if basis[lead, j] < 0.0:
             basis[:, j] = -basis[:, j]
     return PcaProjection(
-        asset_ids=frame.asset_ids,
+        universe=frame.universe,
         window_ends=frame.window_ends,
-        coordinates=centered @ basis,
+        coordinates=(centered @ basis).reshape(*frame.vectors.shape[:2], k),
         components=basis.T.copy(),
         explained_variance=np.maximum(values[:k], 0.0),
     )
@@ -572,34 +514,38 @@ def load_graph_artifacts(graphs_dir: str | Path) -> list[LeadLagGraph]:
     return graphs
 
 
-def _write_records_csv(
-    path: str | Path, asset_ids: Sequence[str], window_ends: Sequence[int], values: np.ndarray, columns: list[str]
+def _write_grid_csv(
+    path: str | Path, universe: Sequence[str], window_ends: Sequence[int], values: np.ndarray, columns: list[str]
 ) -> None:
-    """``asset,window_end,<columns>`` rows sorted by (window_end, asset), one per record."""
+    """``asset,window_end,<columns>`` rows of a (dates, assets, columns) grid, date by date in universe order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    order = sorted(range(len(asset_ids)), key=lambda i: (window_ends[i], asset_ids[i]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["asset", "window_end", *columns])
-        for i in order:
-            writer.writerow([asset_ids[i], window_ends[i], *(_fmt(v) for v in values[i])])
+        for end, block in zip(window_ends, values.tolist()):
+            writer.writerows([asset, end, *map(_fmt, row)] for asset, row in zip(universe, block))
 
 
 def write_embeddings_csv(frame: EmbeddingFrame, path: str | Path) -> None:
     columns = [f"z{i}" for i in range(frame.embedding_dim)]
-    _write_records_csv(path, frame.asset_ids, frame.window_ends, frame.vectors, columns)
+    _write_grid_csv(path, frame.universe, frame.window_ends, frame.vectors, columns)
 
 
-def load_embeddings_csv(path: str | Path, universe: Sequence[str] | None = None) -> EmbeddingFrame:
+def load_embeddings_csv(path: str | Path) -> EmbeddingFrame:
+    """The frame of an ``embeddings.csv``: a complete date-major grid, or ``ValueError`` naming the first bad row.
+
+    The universe is the assets of the first date's rows, in file order; every
+    later date lists the same assets in the same order, and the dates
+    strictly increase.
+    """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[:2] != ["asset", "window_end"]:
             raise ValueError(f"{path.name}: expected header 'asset,window_end,z0,...'")
-        assets: list[str] = []
-        ends: list[int] = []
+        keys: list[tuple[int, str, int]] = []
         rows: list[list[float]] = []
         for number, row in enumerate(reader, start=1):
             if not row:
@@ -607,40 +553,45 @@ def load_embeddings_csv(path: str | Path, universe: Sequence[str] | None = None)
             if len(row) != len(header):
                 raise ValueError(f"{path.name}: row {number}: {len(row)} fields, the header has {len(header)}")
             try:
-                ends.append(int(row[1]))
+                keys.append((number, row[0], int(row[1])))
                 rows.append([float(v) for v in row[2:]])
             except ValueError as exc:
                 raise ValueError(f"{path.name}: row {number}: {exc}") from exc
-            assets.append(row[0])
     if not rows:
         raise ValueError(f"{path.name}: no embedding rows")
-    if universe is None:
-        universe = tuple(sorted(set(assets)))
-    return EmbeddingFrame(
-        asset_ids=tuple(assets), window_ends=tuple(ends), vectors=np.asarray(rows), universe=tuple(universe)
-    )
+    universe: list[str] = []
+    for _, asset, end in keys:
+        if end != keys[0][2] or asset in universe:
+            break
+        universe.append(asset)
+    ends: list[int] = []
+    for i, (number, asset, end) in enumerate(keys):
+        a = i % len(universe)
+        if a == 0 and ends and end <= ends[-1]:
+            raise ValueError(f"{path.name}: row {number}: expected a date after {ends[-1]}, got {asset!r} at {end}")
+        if a == 0:
+            ends.append(end)
+        if (asset, end) != (universe[a], ends[-1]):
+            raise ValueError(
+                f"{path.name}: row {number}: expected asset {universe[a]!r} at window end {ends[-1]}, "
+                f"got {asset!r} at {end}"
+            )
+    missing = len(keys) % len(universe)
+    if missing:
+        raise ValueError(
+            f"{path.name}: row {keys[-1][0] + 1}: missing asset {universe[missing]!r} at window end {ends[-1]}"
+        )
+    return EmbeddingFrame(universe, ends, np.reshape(rows, (len(ends), len(universe), -1)))
 
 
-_SIMILARITY_HEADER = "window_end,cosine\r\n"
-
-
-def _similarity_line(end: int, value: float | None) -> str:
-    """One ``window_end,cosine`` row as ``csv.writer`` writes it: CRLF, a ``repr`` float, an empty field for None or NaN."""
-    return f"{end},{'' if value is None or value != value else _fmt(value)}\r\n"
-
-
-def _overwrite(path: str | Path, data: bytes) -> None:
+def _overwrite(path: str, data: bytes) -> None:
     """Write ``data`` to ``path`` in place: no ``O_TRUNC``, the file is cut to length after the write.
 
     On ext4 (with the default ``auto_da_alloc``) a close after truncating a
     file to zero waits for its data to reach the disk, which made every re-run
     of a 19,900-file postprocess block once per file.
     """
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    except FileNotFoundError:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         written = 0
         while written < len(data):
@@ -650,34 +601,27 @@ def _overwrite(path: str | Path, data: bytes) -> None:
         os.close(fd)
 
 
-def write_similarity_csv(series: SimilaritySeries, path: str | Path) -> None:
-    """Write one series as ``window_end,cosine`` rows, overwriting ``path`` in place."""
-    _overwrite(path, "".join([_SIMILARITY_HEADER, *(_similarity_line(*entry) for entry in series.entries)]).encode())
-
-
-def write_similarity_dir(frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]], directory: str | Path) -> None:
+def write_similarity_csv(frame: EmbeddingFrame, pairs: Sequence[tuple[str, str]], directory: str | Path) -> None:
     """Write ``<A>_<B>.csv`` for each pair and delete every other ``*.csv`` in ``directory``.
 
-    Each file holds the bytes ``write_similarity_csv`` writes for the pair's
-    series, formatted straight from the cosine matrix of each date: no
-    ``SimilaritySeries`` is built. Files of an earlier run are overwritten in
-    place rather than removed and created anew, which is the slower of the
-    two on ext4.
+    Each file holds the pair's ``window_end,cosine`` row at every window end,
+    formatted straight from the ``similarity_series`` array. Files of an
+    earlier run are overwritten in place rather than removed and created
+    anew, which is the slower of the two on ext4.
     """
-    dates, values, both = _pair_cosines(frame, pairs)
-    lines = [[_similarity_line(end, value) for value in column] for end, column in zip(dates, values.T.tolist())]
+    by_date = similarity_series(frame, pairs).T.tolist()
+    # rows as csv.writer writes them: CRLF, a repr float, an empty field for an undefined (NaN) cosine
+    lines = [[f"{end},{'' if v != v else _fmt(v)}\r\n" for v in row] for end, row in zip(frame.window_ends, by_date)]
     prefix = os.path.join(os.fspath(directory), "")
     os.makedirs(prefix, exist_ok=True)
-    written = set()
-    for (a, b), pair_lines, there in zip(pairs, zip(*lines), both.tolist()):
-        name = f"{a}_{b}.csv"
-        _overwrite(prefix + name, "".join([_SIMILARITY_HEADER, *compress(pair_lines, there)]).encode())
-        written.add(name)
-    for name in os.listdir(prefix):
-        if name.endswith(".csv") and name not in written:
+    names = [f"{a}_{b}.csv" for a, b in pairs]
+    for name, pair_lines in zip(names, zip(*lines)):
+        _overwrite(prefix + name, "".join(["window_end,cosine\r\n", *pair_lines]).encode())
+    for name in set(os.listdir(prefix)).difference(names):
+        if name.endswith(".csv"):
             os.unlink(prefix + name)
 
 
 def write_pca_csv(projection: PcaProjection, path: str | Path) -> None:
-    columns = [f"pc{i + 1}" for i in range(projection.coordinates.shape[1])]
-    _write_records_csv(path, projection.asset_ids, projection.window_ends, projection.coordinates, columns)
+    columns = [f"pc{i + 1}" for i in range(projection.coordinates.shape[2])]
+    _write_grid_csv(path, projection.universe, projection.window_ends, projection.coordinates, columns)

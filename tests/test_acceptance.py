@@ -355,10 +355,9 @@ def test_crit_12_pca():
     )
     rng = np.random.default_rng(1212)
     frame = EmbeddingFrame(
-        asset_ids=tuple(f"A{i}" for i in range(40)),
-        window_ends=tuple([0] * 40),
-        vectors=rng.standard_normal((40, 15)) * np.linspace(3.0, 0.1, 15),
         universe=tuple(f"A{i}" for i in range(40)),
+        window_ends=(0,),
+        vectors=(rng.standard_normal((40, 15)) * np.linspace(3.0, 0.1, 15))[np.newaxis],
     )
     projection = pca_project(frame, 2)
     orth_err = float(np.abs(projection.components @ projection.components.T - np.eye(2)).max())
@@ -385,10 +384,9 @@ def test_crit_13_cosine_similarity():
         a, b = float(rng.uniform(0.01, 100.0)), float(rng.uniform(0.01, 100.0))
         worst_scale = max(worst_scale, abs(cosine_similarity(a * zi, b * zj) - cosine_similarity(zi, zj)))
     frame = EmbeddingFrame(
-        asset_ids=tuple(f"A{i}" for i in range(6)),
-        window_ends=tuple([0] * 6),
-        vectors=rng.standard_normal((6, 15)),
         universe=tuple(f"A{i}" for i in range(6)),
+        window_ends=(0,),
+        vectors=rng.standard_normal((1, 6, 15)),
     )
     matrix = similarity_matrix(frame, 0)
     symmetric = bool(np.array_equal(matrix, matrix.T))

@@ -30,7 +30,6 @@ from leadlag_fuse.pipeline import (
     load_embeddings_csv,
     load_graph_artifacts,
     run_dynamic_fusion,
-    similarity_series,
     write_similarity_csv,
 )
 from leadlag_fuse.synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic, synthetic_returns
@@ -262,6 +261,17 @@ class TestConfigHandling:
         assert f"{key} must be a number, got {literal}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("literal", ["true", "false"])
+    def test_string_keys_reject_booleans(self, tmp_path, capsys, literal):
+        with pytest.raises(ConfigError, match=f"data.prices_dir: expected a string, got {literal}"):
+            cli._from_tree(cli.DataSettings, {"prices_dir": literal == "true"}, "data")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"n_assets": 2, "days": 1}}))
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "--set", f"data.prices_dir={literal}", "synth"])
+        assert code == EXIT_CONFIG
+        assert f"error: data.prices_dir: expected a string, got {literal}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_numeric_prices_dir_is_a_directory_name(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"synth": {"n_assets": 2, "days": 1}}))
@@ -322,7 +332,7 @@ class TestCliDispatch:
         for graph in result.graphs:
             assert np.array_equal(written[(graph.spec.tag, graph.window_end)].weights, graph.weights)
         frame = load_embeddings_csv(out / "embeddings.csv")
-        assert (frame.asset_ids, frame.window_ends) == (result.frame.asset_ids, result.frame.window_ends)
+        assert (frame.universe, frame.window_ends) == (result.frame.universe, result.frame.window_ends)
         assert np.array_equal(frame.vectors, result.frame.vectors)
         assert np.array_equal(fusion.load_model(out / "model.json").params, result.model.params)
 
@@ -337,7 +347,7 @@ class TestCliDispatch:
         assert main([*base, *fewer, "fuse"]) == EXIT_OK
         usable = json.loads((out / "report.json").read_text())["graphs"]["usable_window_ends"]
         assert usable == ends[1:]
-        assert list(load_embeddings_csv(out / "embeddings.csv").dates()) == usable
+        assert list(load_embeddings_csv(out / "embeddings.csv").window_ends) == usable
 
     def test_failed_report_write_keeps_previous_report(self, workspace, monkeypatch):
         root, config_path = workspace
@@ -387,10 +397,15 @@ class TestCliDispatch:
         out = root / "pairs"
         base = ["--config", str(config_path), "--out", str(out), "--quiet"]
         assert main([*base, "run-all"]) == EXIT_OK
-        assert len(list((out / "similarity").glob("*.csv"))) == 6
+        every = {p.name: p.read_bytes() for p in (out / "similarity").glob("*.csv")}
+        assert len(every) == 6
         code = main([*base, "--set", 'similarity_pairs=[["A00","A01"]]', "run-all"])
         assert code == EXIT_OK
         assert sorted(p.name for p in (out / "similarity").glob("*.csv")) == ["A00_A01.csv"]
+        # a subset's files are byte for byte those of the same name in the run of all pairs
+        assert main([*base, "--set", 'similarity_pairs=[["A01","A03"],["A02","A03"]]', "postprocess"]) == EXIT_OK
+        subset = {p.name: p.read_bytes() for p in (out / "similarity").glob("*.csv")}
+        assert subset == {name: every[name] for name in ("A01_A03.csv", "A02_A03.csv")}
 
     def test_postprocess_overwrites_longer_file_exactly(self, workspace):
         root, config_path = workspace
@@ -403,7 +418,7 @@ class TestCliDispatch:
         assert main([*base, "postprocess"]) == EXIT_OK
         assert target.read_bytes() == fresh
 
-    def test_similarity_files_match_oracle(self, workspace):
+    def test_similarity_files_match_oracle(self, workspace, capsys):
         root, config_path = workspace
         out = root / "oracle"
         base = ["--config", str(config_path), "--out", str(out), "--quiet"]
@@ -414,8 +429,6 @@ class TestCliDispatch:
         edited = [lines[0]]
         for line in lines[1:]:
             asset, end, *z = line.rstrip("\r\n").split(",")
-            if (asset, int(end)) == ("A03", ends[1]):
-                continue  # a missing (asset, date)
             if (asset, int(end)) == ("A02", ends[0]):
                 z = ["0.0"] * len(z)  # a zero-norm embedding
             edited.append(",".join([asset, end, *z]) + "\r\n")
@@ -429,11 +442,15 @@ class TestCliDispatch:
                 a, b = path.stem.split("_")
                 expected = similarity_csv_oracle(embeddings, a, b)
                 assert path.read_bytes() == expected, path.name
-                # the library writer of one series gives the same bytes as the directory writer
-                write_similarity_csv(similarity_series(frame, (a, b)), root / "series.csv")
-                assert (root / "series.csv").read_bytes() == expected, path.name
+                # the library writer of one pair gives the same bytes as that of all pairs
+                write_similarity_csv(frame, [(a, b)], root / "one_pair")
+                assert (root / "one_pair" / path.name).read_bytes() == expected, path.name
         assert f"{ends[0]},\r\n".encode() in (out / "similarity" / "A00_A02.csv").read_bytes()
-        assert str(ends[1]).encode() not in (out / "similarity" / "A00_A03.csv").read_bytes()
+        # a missing (asset, date) is refused, naming the row where the grid breaks
+        missing = [line for line in edited if not line.startswith(f"A03,{ends[1]},")]
+        embeddings.write_text("".join(missing), encoding="utf-8")
+        assert main([*base, "postprocess"]) == EXIT_FAILURE
+        assert "error: embeddings.csv: row 8: " in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -491,7 +508,7 @@ def append_line(path, line):
 
 
 class TestArtifactReadersNameTheFile:
-    """A malformed artifact stops the stage that reads it with exit 1 and names the file and row."""
+    """A malformed artifact stops the stage that reads it with exit 1 and names the file, and the row of a malformed line."""
 
     @pytest.mark.parametrize(
         "case, stage, message",
@@ -524,4 +541,31 @@ class TestArtifactReadersNameTheFile:
         assert code == EXIT_FAILURE
         err = capsys.readouterr().err
         assert f"error: {target.name}: row {row}: " in err
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("missing_key", "missing key 'assets'"),
+            ("malformed_json", "Expecting ',' delimiter"),
+            ("not_an_object", "list indices must be integers"),
+        ],
+    )
+    def test_malformed_sidecar(self, workspace, finished_run, tmp_path, capsys, case, message):
+        _, config_path = workspace
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        target = sorted((out / "graphs" / "d1_T1").glob("*.json"))[0]
+        meta = json.loads(target.read_text(encoding="utf-8"))
+        if case == "missing_key":
+            del meta["assets"]
+            target.write_text(json.dumps(meta), encoding="utf-8")
+        elif case == "malformed_json":
+            target.write_text(json.dumps(meta).replace(",", "", 1), encoding="utf-8")
+        else:
+            target.write_text(json.dumps(list(meta.values())), encoding="utf-8")
+        code = main(["--config", str(config_path), "--out", str(out), "--quiet", "fuse"])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert f"error: {target.name}: " in err
         assert message in err

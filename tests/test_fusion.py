@@ -293,19 +293,17 @@ class TestEmbeddings:
         samples = make_samples(rng, 4)
         samples = np.concatenate([samples, samples], axis=1)  # the same rows on both dates
         frame = extract_embeddings(model, samples, [f"A{i}" for i in range(4)], [100, 200])
-        assert len(frame) == samples.shape[1]
+        assert frame.vectors.shape == (2, 4, TINY.embedding_dim)
         # identical feature rows on both dates give identical embeddings
-        assert np.array_equal(frame.vectors[:4], frame.vectors[4:])
-        assert frame.lookup("A0", 100) is not None
-        assert frame.lookup("A0", 999) is None
+        assert np.array_equal(frame.vectors[0], frame.vectors[1])
 
     def test_rows_are_date_major(self):
         model = FusionModel(TINY, seed=19)
         samples = make_samples(np.random.default_rng(19), 6)
         frame = extract_embeddings(model, samples, ["A0", "A1", "A2"], [100, 200])
-        assert frame.asset_ids == ("A0", "A1", "A2", "A0", "A1", "A2")
-        assert frame.window_ends == (100, 100, 100, 200, 200, 200)
-        assert np.allclose(frame.lookup("A1", 200), model.encode_batch(samples[:, 4:5])[0], rtol=0.0, atol=1e-12)
+        assert frame.universe == ("A0", "A1", "A2")
+        assert frame.window_ends == (100, 200)
+        assert np.allclose(frame.vectors[1, 1], model.encode_batch(samples[:, 4:5])[0], rtol=0.0, atol=1e-12)
 
     def test_row_count_must_cover_assets_and_dates(self):
         model = FusionModel(TINY, seed=20)
@@ -369,8 +367,10 @@ class TestEmbeddings:
             load_model(tmp_path / "model.json")
 
     def test_frame_validation(self):
-        with pytest.raises(ValueError, match="matching"):
-            EmbeddingFrame(asset_ids=("A",), window_ends=(1, 2), vectors=np.zeros((1, 3)), universe=("A",))
+        with pytest.raises(ValueError, match=r"expected \(2, 1, embedding_dim\)"):
+            EmbeddingFrame(universe=("A",), window_ends=(1, 2), vectors=np.zeros((1, 1, 3)))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            EmbeddingFrame(universe=("A",), window_ends=(2, 1), vectors=np.zeros((2, 1, 3)))
 
 
 class TestCheckpoint:

@@ -29,12 +29,10 @@ from leadlag_fuse.pipeline import (
     select_window_ends,
     similarity_matrix,
     similarity_series,
-    similarity_series_batch,
     symmetric_eigh_jacobi,
     write_embeddings_csv,
     write_pca_csv,
     write_similarity_csv,
-    write_similarity_dir,
 )
 from leadlag_fuse.synthetic import SyntheticSpec, synthetic_panel
 
@@ -65,16 +63,14 @@ def tiny_config(panel, n_dates=2, window_minutes=8):
     )
 
 
-def frame_of(vectors, assets=None, ends=None, universe=None):
+def frame_of(vectors, universe=None, ends=None):
+    """The frame of a (dates, assets, dim) grid, or of one (assets, dim) date at T0."""
     vectors = np.asarray(vectors, dtype=float)
-    count = vectors.shape[0]
-    assets = assets or tuple(f"A{i}" for i in range(count))
-    ends = ends or tuple([T0] * count)
+    if vectors.ndim == 2:
+        vectors = vectors[np.newaxis]
+    dates, count = vectors.shape[:2]
     return EmbeddingFrame(
-        asset_ids=tuple(assets),
-        window_ends=tuple(ends),
-        vectors=vectors,
-        universe=universe or tuple(dict.fromkeys(assets)),
+        universe or tuple(f"A{i}" for i in range(count)), ends or tuple(T0 + d for d in range(dates)), vectors
     )
 
 
@@ -117,7 +113,7 @@ class TestWindowing:
         result = run_dynamic_fusion(config, panel)
         assert len(result.graphs) == 2  # |specs| x usable dates
         assert result.train_report.config["n_samples"] == 4  # assets x dates
-        assert len(result.frame) == 4
+        assert result.frame.vectors.shape[:2] == (2, 2)  # dates x assets
         assert result.model.architecture.graph_count == 1
         assert result.model.architecture.input_dim == 2
 
@@ -179,7 +175,7 @@ class TestWindowing:
         config = tiny_config(panel)
         a = run_dynamic_fusion(config, panel)
         b = run_dynamic_fusion(config, panel)
-        assert a.frame.asset_ids == b.frame.asset_ids and a.frame.window_ends == b.frame.window_ends
+        assert a.frame.universe == b.frame.universe and a.frame.window_ends == b.frame.window_ends
         assert np.array_equal(a.frame.vectors, b.frame.vectors)
         assert np.array_equal(a.model.params, b.model.params)
 
@@ -237,7 +233,7 @@ class TestFusedEmbeddingsCarryThePlantedLink:
         assert len(result.usable_ends) == 30
         ranks = []
         for end in result.usable_ends:
-            assets = result.frame.assets_at(end)
+            assets = result.frame.universe
             cos = similarity_matrix(result.frame, end)
             planted = cos[assets.index("A00"), assets.index("A01")]
             ranks.append(int(np.sum(cos[np.triu_indices(len(assets), 1)] >= planted)))  # ties rank above
@@ -316,36 +312,35 @@ class TestCosine:
 
 class TestSimilaritySeries:
     def test_self_pair_is_constant_one(self):
-        frame = frame_of(np.random.default_rng(1).standard_normal((4, 3)), assets=("X", "Y", "X", "Y"), ends=(1, 1, 2, 2), universe=("X", "Y"))
-        series = similarity_series(frame, ("X", "X"))
-        assert [v for _, v in series.entries] == [1.0, 1.0]
+        frame = frame_of(np.random.default_rng(1).standard_normal((2, 2, 3)), universe=("X", "Y"), ends=(1, 2))
+        assert similarity_series(frame, [("X", "X")]).tolist() == [[1.0, 1.0]]
 
     def test_hand_computed_two_dates(self):
         zx1, zy1 = np.array([1.0, 0.0]), np.array([1.0, 1.0])
         zx2, zy2 = np.array([0.0, 2.0]), np.array([3.0, 0.0])
-        frame = frame_of(np.stack([zx1, zy1, zx2, zy2]), assets=("X", "Y", "X", "Y"), ends=(1, 1, 2, 2), universe=("X", "Y"))
-        series = similarity_series(frame, ("X", "Y"))
-        assert series.entries[0][1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-        assert series.entries[1][1] == pytest.approx(0.0, abs=1e-15)
+        frame = frame_of([[zx1, zy1], [zx2, zy2]], universe=("X", "Y"), ends=(1, 2))
+        (series,) = similarity_series(frame, [("X", "Y")])
+        assert series[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
+        assert series[1] == pytest.approx(0.0, abs=1e-15)
 
-    def test_missing_date_skipped_and_zero_norm_recorded(self):
-        vectors = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
-        frame = frame_of(vectors, assets=("X", "Y", "X"), ends=(1, 1, 2), universe=("X", "Y"))
-        series = similarity_series(frame, ("X", "Y"))
-        assert len(series.entries) == 1  # date 2 has no Y embedding at all
-        assert series.entries[0] == (1, None)  # zero-norm Y at date 1 is recorded missing
+    def test_missing_cell_rejected_and_zero_norm_recorded(self):
+        # X and Y at date 1, X alone at date 2: not a grid
+        with pytest.raises(ValueError, match="expected"):
+            EmbeddingFrame(("X", "Y"), (1, 2), np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
+        frame = frame_of([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [2.0, 0.0]]], universe=("X", "Y"), ends=(1, 2))
+        (series,) = similarity_series(frame, [("X", "Y")])
+        assert np.isnan(series[0])  # zero-norm Y at date 1 is recorded undefined
+        assert series[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
 
     def test_unknown_asset_rejected(self):
         frame = frame_of(np.ones((2, 2)))
         with pytest.raises(ValueError, match="unknown asset"):
-            similarity_series(frame, ("A0", "NOPE"))
+            similarity_series(frame, [("A0", "NOPE")])
 
     def test_csv_missing_values_are_empty_fields(self, tmp_path):
-        vectors = np.array([[1.0, 0.0], [0.0, 0.0]])
-        frame = frame_of(vectors, assets=("X", "Y"), ends=(5, 5), universe=("X", "Y"))
-        series = similarity_series(frame, ("X", "Y"))
-        write_similarity_csv(series, tmp_path / "s.csv")
-        assert (tmp_path / "s.csv").read_text().splitlines()[1] == "5,"
+        frame = frame_of([[1.0, 0.0], [0.0, 0.0]], universe=("X", "Y"), ends=(5,))
+        write_similarity_csv(frame, [("X", "Y")], tmp_path)
+        assert (tmp_path / "X_Y.csv").read_text().splitlines()[1] == "5,"
 
 
 class TestOneCosineKernel:
@@ -358,19 +353,19 @@ class TestOneCosineKernel:
         vectors = rng.standard_normal((n * len(ends), dim)) * rng.uniform(0.01, 100.0, (n * len(ends), 1))
         vectors[::3] = np.maximum(vectors[::3], 0.0)  # rows like the encoder's nonnegative outputs
         assets = tuple(f"A{i}" for i in range(n))
-        frame = frame_of(vectors, assets=assets * len(ends), ends=tuple(t for t in ends for _ in range(n)))
+        frame = frame_of(vectors.reshape(len(ends), n, dim), universe=assets, ends=ends)
         pairs = [(a, b) for i, a in enumerate(assets) for b in assets[i + 1 :]]
-        batch = similarity_series_batch(frame, pairs)
+        series = similarity_series(frame, pairs)
         for d, end in enumerate(ends):
             matrix = similarity_matrix(frame, end)
-            for (a, b), series in zip(pairs, batch):
+            for p, (a, b) in enumerate(pairs):
                 i, j = assets.index(a), assets.index(b)
                 values = [
-                    cosine_similarity(frame.lookup(a, end), frame.lookup(b, end)),
+                    cosine_similarity(frame.vectors[d, i], frame.vectors[d, j]),
                     matrix[i, j],
                     matrix[j, i],
-                    series.entries[d][1],
-                    similarity_series(frame, (a, b)).entries[d][1],
+                    series[p, d],
+                    similarity_series(frame, [(a, b)])[0, d],
                 ]
                 assert len({float(v).hex() for v in values}) == 1, (dim, a, b, values)
 
@@ -385,28 +380,49 @@ class TestOneCosineKernel:
     def test_files_match_per_pair_oracle(self, n, tmp_path):
         # Row counts that are not a multiple of 8 are where an unpadded BLAS syrk rounded differently.
         rng = np.random.default_rng(n)
-        vectors = np.maximum(rng.standard_normal((2 * n, 15)), 0.0) * rng.uniform(0.5, 20.0, (2 * n, 1))
+        vectors = np.maximum(rng.standard_normal((2, n, 15)), 0.0) * rng.uniform(0.5, 20.0, (2, n, 1))
         assets = tuple(f"A{i:02d}" for i in range(n))
-        frame = frame_of(vectors, assets=assets * 2, ends=(1,) * n + (2,) * n)
+        frame = frame_of(vectors, universe=assets, ends=(1, 2))
         write_embeddings_csv(frame, tmp_path / "embeddings.csv")
         pairs = [(a, b) for i, a in enumerate(assets) for b in assets[i + 1 :]]
-        write_similarity_dir(frame, pairs, tmp_path / "similarity")
+        write_similarity_csv(frame, pairs, tmp_path / "similarity")
         for a, b in pairs:
             written = (tmp_path / "similarity" / f"{a}_{b}.csv").read_bytes()
             assert written == similarity_csv_oracle(tmp_path / "embeddings.csv", a, b), (a, b)
 
-    def test_batch_skips_missing_dates_per_pair(self):
-        vectors = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 0.0], [0.0, 0.0]])
-        frame = frame_of(vectors, assets=("X", "Y", "Z", "X", "Z"), ends=(1, 1, 1, 2, 2), universe=("X", "Y", "Z"))
-        xy, xz, yz = similarity_series_batch(frame, [("X", "Y"), ("X", "Z"), ("Y", "Z")])
-        assert [t for t, _ in xy.entries] == [1]
-        assert xz.entries == ((1, 0.0), (2, None))
-        assert [t for t, _ in yz.entries] == [1]
+    @pytest.mark.parametrize("dim", [15, 32])
+    def test_pair_subsets_write_the_files_of_all_pairs(self, dim, tmp_path):
+        # Every subset reads the whole universe's block of a date, so its files are those of the full run.
+        rng = np.random.default_rng(dim)
+        n = 21
+        frame = frame_of(np.maximum(rng.standard_normal((3, n, dim)), 0.0), ends=(1, 2, 3))
+        pairs = [(a, b) for i, a in enumerate(frame.universe) for b in frame.universe[i + 1 :]]
+        write_similarity_csv(frame, pairs, tmp_path / "all")
+        for size in (1, 2, 5, 13, 40):
+            subset = [pairs[i] for i in sorted(rng.choice(len(pairs), size, replace=False))]
+            write_similarity_csv(frame, subset, tmp_path / "subset")
+            for a, b in subset:
+                name = f"{a}_{b}.csv"
+                assert (tmp_path / "subset" / name).read_bytes() == (tmp_path / "all" / name).read_bytes(), name
+
+    def test_pairs_share_every_date_and_missing_cell_rejected(self, tmp_path):
+        grid = np.array([[[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[2.0, 0.0], [3.0, 3.0], [0.0, 0.0]]])
+        frame = frame_of(grid, universe=("X", "Y", "Z"), ends=(1, 2))  # Z has zero norm at date 2
+        xy, xz, yz = similarity_series(frame, [("X", "Y"), ("X", "Z"), ("Y", "Z")])
+        assert xy.tolist() == pytest.approx([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)], abs=1e-15)
+        assert xz[0] == 0.0 and np.isnan(xz[1])
+        assert yz[0] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15) and np.isnan(yz[1])
+        # without Y at date 2 the rows are not a grid
+        write_embeddings_csv(frame, tmp_path / "e.csv")
+        lines = (tmp_path / "e.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / "e.csv").write_text("".join(lines[:5] + lines[6:]), encoding="utf-8", newline="")
+        with pytest.raises(ValueError, match="e.csv: row 5: expected asset 'Y' at window end 2, got 'Z' at 2"):
+            load_embeddings_csv(tmp_path / "e.csv")
 
 
 class TestSimilarityMatrix:
     def test_single_asset(self):
-        frame = frame_of(np.array([[2.0, 0.0]]), assets=("X",), universe=("X",))
+        frame = frame_of(np.array([[2.0, 0.0]]), universe=("X",))
         assert np.array_equal(similarity_matrix(frame, T0), np.array([[1.0]]))
 
     def test_symmetric_bitwise(self):
@@ -498,14 +514,14 @@ class TestPca:
         rotated = pca_project(frame_of(data @ rotation.T), 2)
         # coordinates agree up to the per-component sign convention
         for j in range(2):
-            col, ref = rotated.coordinates[:, j], base.coordinates[:, j]
+            col, ref = rotated.coordinates[..., j], base.coordinates[..., j]
             assert min(np.abs(col - ref).max(), np.abs(col + ref).max()) < 1e-8
 
     def test_insufficient_rank_returns_fewer_components(self, caplog):
         frame = frame_of(np.random.default_rng(8).standard_normal((10, 3)))
         with caplog.at_level(logging.WARNING):
             projection = pca_project(frame, 4)
-        assert projection.coordinates.shape[1] == 3  # clamped to the feature dimension
+        assert projection.coordinates.shape[2] == 3  # clamped to the feature dimension
         assert "components" in caplog.text
 
     def test_too_few_samples_rejected(self):
@@ -517,27 +533,58 @@ class TestPca:
 class TestArtifacts:
     def test_embeddings_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
-        frame = frame_of(rng.standard_normal((6, 3)), assets=("A", "B", "C", "A", "B", "C"), ends=(1, 1, 1, 2, 2, 2), universe=("A", "B", "C"))
-        write_embeddings_csv(frame, tmp_path / "e.csv")
-        loaded = load_embeddings_csv(tmp_path / "e.csv")
-        for asset, end in zip(frame.asset_ids, frame.window_ends):
-            assert np.array_equal(loaded.lookup(asset, end), frame.lookup(asset, end))
+        for universe in (("A", "B", "C"), ("C", "A", "B")):  # the writer keeps an unsorted universe's order
+            vectors = rng.standard_normal((2, 3, 3)) * 10.0 ** rng.integers(-300, 300, (2, 3, 3))
+            frame = frame_of(vectors, universe=universe, ends=(1, 2))
+            write_embeddings_csv(frame, tmp_path / "e.csv")
+            loaded = load_embeddings_csv(tmp_path / "e.csv")
+            assert (loaded.universe, loaded.window_ends) == (universe, (1, 2))
+            assert np.array_equal(loaded.vectors, frame.vectors)
+
+    @pytest.mark.parametrize(
+        "edit, row, message",
+        [
+            ("missing", 5, "expected asset 'B' at window end 2, got 'C' at 2"),
+            ("duplicated", 5, "expected asset 'B' at window end 2, got 'A' at 2"),
+            ("duplicated_first_date", 2, "expected a date after 1, got 'A' at 1"),
+            ("out_of_order", 4, "expected a date after 2, got 'A' at 1"),
+            ("missing_last", 6, "missing asset 'C' at window end 2"),
+        ],
+    )
+    def test_embeddings_csv_must_be_a_complete_date_major_grid(self, tmp_path, edit, row, message):
+        write_embeddings_csv(frame_of(np.ones((2, 3, 2)), universe=("A", "B", "C"), ends=(1, 2)), tmp_path / "e.csv")
+        header, *lines = (tmp_path / "e.csv").read_text(encoding="utf-8").splitlines()
+        if edit == "missing":
+            del lines[4]
+        elif edit == "duplicated":
+            lines.insert(4, lines[3])
+        elif edit == "duplicated_first_date":
+            lines.insert(1, lines[0])
+        elif edit == "out_of_order":
+            lines = lines[3:] + lines[:3]
+        else:
+            del lines[5]
+        (tmp_path / "e.csv").write_text("\r\n".join([header, *lines]) + "\r\n", encoding="utf-8", newline="")
+        with pytest.raises(ValueError) as excinfo:
+            load_embeddings_csv(tmp_path / "e.csv")
+        assert str(excinfo.value) == f"e.csv: row {row}: {message}"
 
     def test_embeddings_and_pca_csv_match_csv_writer_oracle(self, tmp_path):
-        assets, ends = ("B,B", "A", "B,B", "A"), (2, 2, 1, 1)
-        values = np.array([[0.1, -2.0], [1e-05, 3.0], [2.0 / 3.0, 0.0], [-1.5, 7.0]])
+        universe, ends = ("B,B", "A"), (1, 2)
+        values = np.array([[[0.1, -2.0], [1e-05, 3.0]], [[2.0 / 3.0, 0.0], [-1.5, 7.0]]])
 
         def oracle(columns):
             expected = io.StringIO()
             writer = csv.writer(expected)
             writer.writerow(["asset", "window_end", *columns])
-            for i in (3, 2, 1, 0):  # sorted by (window_end, asset)
-                writer.writerow([assets[i], ends[i], *(repr(float(v)) for v in values[i])])
+            for d, end in enumerate(ends):  # date by date, in universe order
+                for a, asset in enumerate(universe):
+                    writer.writerow([asset, end, *(repr(float(v)) for v in values[d, a])])
             return expected.getvalue().encode("utf-8")
 
-        write_embeddings_csv(frame_of(values, assets=assets, ends=ends), tmp_path / "e.csv")
+        write_embeddings_csv(frame_of(values, universe=universe, ends=ends), tmp_path / "e.csv")
         assert (tmp_path / "e.csv").read_bytes() == oracle(["z0", "z1"])
-        projection = PcaProjection(assets, ends, values, np.eye(2), np.ones(2))
+        projection = PcaProjection(universe, ends, values, np.eye(2), np.ones(2))
         write_pca_csv(projection, tmp_path / "pca.csv")
         assert (tmp_path / "pca.csv").read_bytes() == oracle(["pc1", "pc2"])
 
