@@ -8,11 +8,14 @@ rows; the G encoders and the G decoders are each one MLP of G stacked copies.
 Training minimizes the mean of per-graph reconstruction MSEs with
 full-batch Adam, an optional validation split, and patience-based early
 stopping that restores the best validation weights. The weights, gradients,
-Adam moments and best-epoch copy are float64 vectors in one layout.
+Adam moments and best-epoch copy are vectors in one layout and of one dtype,
+that of ``params``: a model computes in the precision it was built with
+(float64 by default; the pipeline builds float32 models).
 
 The training data is one graph-major (graph_count, rows, input_dim) float
-array; in the pipeline row ``d * n + a`` is asset ``a`` of ``n`` at usable
-date ``d``.
+array, cast once to the model's dtype where it enters ``train`` or
+``extract_embeddings``; in the pipeline row ``d * n + a`` is asset ``a`` of
+``n`` at usable date ``d``.
 """
 
 from __future__ import annotations
@@ -44,8 +47,9 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 ENTRY_FORMAT_VERSION = 1  # of each MLP copy's entry in the model file
+_MODEL_DTYPES = {"float32": np.float32, "float64": np.float64}  # the precisions a model file may record
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,9 @@ class TrainReport:
     stop_reason: str = "max_epochs"
     best_epoch: int = 0
     best_val_loss: float | None = None
+    # how well the final model fits all samples; set by pipeline.fit, which knows their layout
+    explained_share: dict | None = None
+    one_hot_row_share: float | None = None
 
 
 class TrainingDiverged(RuntimeError):
@@ -135,9 +142,13 @@ class FusionModel:
     input_dim) array: column ``i`` of graph ``g`` holds node ``i``'s feature
     row in graph ``g``. ``graph_encoder`` and ``graph_decoder`` stack one copy
     per graph; the shared encoder and decoder are single copies.
+
+    ``params`` has the dtype given here, and every batch method computes in
+    it: samples and embeddings are cast to ``params.dtype``, and gradients,
+    residuals and reconstructions come out in it.
     """
 
-    def __init__(self, architecture: FusionArchitecture, seed: int = 0):
+    def __init__(self, architecture: FusionArchitecture, seed: int = 0, dtype=np.float64):
         self.architecture = architecture
         rng, n_graphs = np.random.default_rng(seed), architecture.graph_count
         enc_dims = architecture.per_graph_encoder_dims()
@@ -153,7 +164,7 @@ class FusionModel:
         self.graph_decoder = neural.init_mlp(dec_dims, dec_acts, rng, count=n_graphs)
         # move every layer into one vector; the layers become views of it
         mlps = self._mlps()
-        self.params = np.empty(sum(mlp.parameter_count for mlp in mlps))
+        self.params = np.empty(sum(mlp.parameter_count for mlp in mlps), dtype=dtype)
         for mlp, pairs in zip(mlps, neural.layer_views(mlps, self.params)):
             for layer, (weight, bias) in zip(mlp.layers, pairs):
                 weight[:], bias[:] = layer.weight, layer.bias
@@ -165,7 +176,7 @@ class FusionModel:
 
     def _check_inputs(self, samples: np.ndarray) -> np.ndarray:
         arch = self.architecture
-        x = np.asarray(samples, dtype=float)
+        x = np.asarray(samples, dtype=self.params.dtype)
         if x.ndim != 3 or x.shape[::2] != (arch.graph_count, arch.input_dim):
             raise ValueError(
                 f"samples have shape {x.shape}, expected ({arch.graph_count}, batch, {arch.input_dim})"
@@ -181,20 +192,21 @@ class FusionModel:
         expanded = _output(self.shared_decoder, z, records)
         return _output(self.graph_decoder, _graph_chunks(expanded, self.architecture.graph_count), records)
 
-    def _loss(self, x: np.ndarray, records: list[ForwardRecord] | None = None) -> tuple[float, np.ndarray]:
-        """Mean over graphs of the batch's reconstruction MSE, and the residual recon - x.
+    def _loss(self, x: np.ndarray, records: list[ForwardRecord] | None = None) -> tuple[list[float], np.ndarray]:
+        """Each graph's reconstruction MSE over the batch, and the residual recon - x.
 
         The residual is formed in the graph decoder's output buffer (its last
         layer is the identity) and squared one graph at a time into one
         buffer: squaring the whole stack would hold a second (G, batch,
-        input_dim) array, 4 MB on the wide benchmark workload. Each graph's
-        MSE is the sum of its squares over their count, as ``np.mean`` forms it.
+        input_dim) array, 2 MB in float32 on the wide benchmark workload. Each
+        graph's MSE is the sum of its squares over their count, as ``np.mean``
+        forms it.
         """
         residual = self._decode(self._encode(x, records), records)
         residual -= x
         square = np.empty_like(residual[0])
-        mse = (float(np.add.reduce(np.multiply(r, r, out=square), axis=None) / r.size) for r in residual)
-        return sum(mse) / len(residual), residual
+        mse = [float(np.add.reduce(np.multiply(r, r, out=square), axis=None) / r.size) for r in residual]
+        return mse, residual
 
     def encode_batch(self, samples: np.ndarray) -> np.ndarray:
         """Fused embeddings (batch, embedding_dim).
@@ -208,19 +220,24 @@ class FusionModel:
 
     def decode_batch(self, z: np.ndarray) -> np.ndarray:
         """Reconstructions (graph_count, batch, input_dim) of embeddings z, (batch, embedding_dim)."""
-        z = np.asarray(z, dtype=float)
+        z = np.asarray(z, dtype=self.params.dtype)
         if z.ndim != 2 or z.shape[1] != self.architecture.embedding_dim:
             raise ValueError(f"z has shape {z.shape}, expected (batch, {self.architecture.embedding_dim})")
         return self._decode(z[np.newaxis])
 
-    def reconstruction_loss(self, samples: np.ndarray) -> float:
+    def graph_losses(self, samples: np.ndarray) -> list[float]:
+        """Each graph's reconstruction MSE; ``reconstruction_loss`` is their mean."""
         return self._loss(self._check_inputs(samples))[0]
+
+    def reconstruction_loss(self, samples: np.ndarray) -> float:
+        mse = self.graph_losses(samples)
+        return sum(mse) / len(mse)
 
     def loss_and_gradients(self, samples: np.ndarray) -> tuple[float, np.ndarray]:
         """Reconstruction loss and its gradient, one new vector laid out like ``params``."""
         x = self._check_inputs(samples)
         records: list[ForwardRecord] = []
-        loss, residual = self._loss(x, records)
+        mse, residual = self._loss(x, records)
         # dL/drecon in place: 2 (recon - x) / (batch * input_dim) / G. Dividing by half the size
         # (exact) rounds the quotient 2 (recon - x) / size once, as doubling (exact) and dividing would.
         residual /= residual[0].size / 2.0
@@ -232,7 +249,7 @@ class FusionModel:
         g_z = backward(self.shared_decoder, shared_dec_rec, _joined(g_chunks), shared_dec_grads)
         g_concat = backward(self.shared_encoder, shared_enc_rec, g_z, shared_enc_grads)
         backward(self.graph_encoder, enc_rec, _graph_chunks(g_concat, len(x)), enc_grads, input_grad=False)
-        return loss, grad
+        return sum(mse) / len(mse), grad
 
 
 def _joined(chunks: np.ndarray) -> np.ndarray:
@@ -406,6 +423,7 @@ def _entries(mlp: Mlp) -> list[dict]:
 def save_model(model: FusionModel, path: str | Path) -> None:
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
+        "dtype": model.params.dtype.name,
         "architecture": asdict(model.architecture),
         "graph_encoders": _entries(model.graph_encoder),
         "shared_encoder": _entries(model.shared_encoder)[0],
@@ -421,12 +439,19 @@ def save_model(model: FusionModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FusionModel:
-    """The model of a ``save_model`` file; each checked entry is written straight into ``params``."""
+    """The model of a ``save_model`` file, in the stored dtype.
+
+    Each checked entry is written straight into ``params``.
+    """
+    name = Path(path).name
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version: {payload.get('format_version')}")
-    model = FusionModel(FusionArchitecture(**payload["architecture"]), seed=0)
+        raise ValueError(f"{name}: unsupported model format version {payload.get('format_version')!r}")
+    dtype = _MODEL_DTYPES.get(payload.get("dtype"))
+    if dtype is None:
+        raise ValueError(f"{name}: unsupported dtype {payload.get('dtype')!r}; expected one of {sorted(_MODEL_DTYPES)}")
+    model = FusionModel(FusionArchitecture(**payload["architecture"]), seed=0, dtype=dtype)
     for mlp, key in zip(model._mlps(), ("graph_encoders", "shared_encoder", "shared_decoder", "graph_decoders")):
         entries = payload[key] if key.startswith("graph") else [payload[key]]
         plan = (list(mlp.dims), [layer.activation for layer in mlp.layers])
@@ -439,5 +464,5 @@ def load_model(path: str | Path) -> FusionModel:
                 layer.weight[c] = np.reshape(weight, layer.weight.shape[1:])
                 layer.bias[c] = np.reshape(bias, layer.bias.shape[1:])
     if not np.all(np.isfinite(model.params)):
-        raise ValueError(f"{Path(path).name}: stored parameters must be finite")
+        raise ValueError(f"{name}: stored parameters must be finite")
     return model

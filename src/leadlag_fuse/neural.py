@@ -4,11 +4,13 @@ An MLP stacks ``count`` copies of one layer plan: (count, out, in) weights,
 (count, out) biases, (count, batch, features) batches and one ``np.matmul``
 per layer for all copies.
 
-Everything is double precision and deterministic: parameters come from a
-seeded generator, there is no minibatching, and the ReLU subgradient at 0 is
-defined as 0. Forward passes record every intermediate activation so that
-``backward`` can return exact gradients of the recorded computation. Only
-``layer_views`` knows the layout of a model's flat parameter vector.
+Everything is deterministic: parameters come from a seeded generator, there
+is no minibatching, and the ReLU subgradient at 0 is defined as 0. A network
+computes in the precision of its weights: ``forward`` and ``backward`` cast
+their inputs to the weights' dtype, and Adam's vectors take the parameters'.
+Forward passes record every intermediate activation so that ``backward`` can
+return exact gradients of the recorded computation. Only ``layer_views``
+knows the layout of a model's flat parameter vector.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> ForwardRecord:
 
     An identity layer's output is its pre-activation array itself.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=mlp.layers[0].weight.dtype)
     expected = (mlp.count, mlp.layers[0].in_dim)
     if x.ndim != 3 or x.shape[::2] != expected:
         raise ValueError(f"input shape {x.shape} is not (copies, batch, first layer dim) for {expected}")
@@ -170,7 +172,7 @@ def backward(
     for layer, z in zip(mlp.layers, record.pre_activations):
         if z.shape[::2] != layer.bias.shape:
             raise ValueError("forward record does not match this network")
-    grad = np.asarray(output_grad, dtype=float)
+    grad = np.asarray(output_grad, dtype=mlp.layers[0].weight.dtype)
     if grad.shape != record.output.shape:
         raise ValueError(f"output_grad shape {grad.shape} does not match output {record.output.shape}")
     for li in range(len(mlp.layers) - 1, -1, -1):
@@ -199,7 +201,7 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False)  # two vectors for a step's intermediates
 
     def __post_init__(self) -> None:
-        self.scratch = np.empty((2, *self.first_moment.shape))
+        self.scratch = np.empty((2, *self.first_moment.shape), dtype=self.first_moment.dtype)
 
 
 def adam_init(params: np.ndarray, learning_rate: float = 0.001, **kwargs) -> AdamState:

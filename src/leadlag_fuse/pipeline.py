@@ -4,8 +4,9 @@ For every selected window-end date and every (period, lag) spec, a lookback
 window of return rows is sliced, a validated lead-lag graph is built, and the
 graph's RWR/PPMI features become one training row per asset; the rows form
 one (specs, dates * assets, assets) sample array. ``fit`` trains the single
-fusion model over all (asset, date) samples and embeds them; the library
-(``run_dynamic_fusion``) and the CLI ``fuse`` stage both train through it.
+fusion model, in float32, over all (asset, date) samples and embeds them;
+the library (``run_dynamic_fusion``) and the CLI ``fuse`` stage both train
+through it.
 Pairwise cosine similarity series and a 2-D PCA projection are derived from
 the embeddings.
 
@@ -282,14 +283,51 @@ def samples_from_graphs(
 def fit(
     config: RunConfig, graphs: Sequence[LeadLagGraph], usable_ends: Sequence[int]
 ) -> tuple[FusionModel, TrainReport, EmbeddingFrame]:
-    """Train one fusion model over every (asset, date) sample and embed every sample."""
+    """Train one float32 fusion model over every (asset, date) sample and embed every sample.
+
+    The report also carries the model's fit quality over all samples:
+    ``explained_share`` and ``one_hot_row_share``.
+    """
     samples = samples_from_graphs(graphs, config.specs, usable_ends, config.rwr)
     universe = graphs[0].assets
     arch = FusionArchitecture(graph_count=len(config.specs), input_dim=len(universe), **asdict(config.model))
-    model = FusionModel(arch, seed=config.seed_init)
+    # float32 halves the fit's time and keeps the fixture's claims (README, "Precision");
+    # FusionModel's float64 default is the reference the gradient checks run on
+    model = FusionModel(arch, seed=config.seed_init, dtype=np.float32)
     report = fusion.train(model, samples, config.seed_split, config.training)
     frame = fusion.extract_embeddings(model, samples, universe, usable_ends)
+    report.explained_share = _explained_share(model, samples, config.specs)
+    report.one_hot_row_share = _one_hot_row_share(samples)
     return model, report, frame
+
+
+def _explained_share(model: FusionModel, samples: np.ndarray, specs: Sequence[LagSpec]) -> dict:
+    """1 - model MSE / mean-predictor MSE over all samples: ``overall`` and ``per_graph`` by spec tag.
+
+    The mean predictor outputs each graph's column means, so its MSE is the
+    mean of that graph's column variances. ``overall`` compares the means
+    over graphs, as the training loss averages them. A share whose baseline
+    MSE is 0 is None.
+    """
+    model_mse = model.graph_losses(samples)
+    baseline = [float(np.var(graph, axis=0).mean()) for graph in samples]
+    share = lambda model_part, base: 1.0 - model_part / base if base > 0.0 else None
+    return {
+        "overall": share(sum(model_mse), sum(baseline)),
+        "per_graph": {spec.tag: share(m, b) for spec, m, b in zip(specs, model_mse, baseline)},
+    }
+
+
+def _one_hot_row_share(samples: np.ndarray) -> float:
+    """The share of the (graph, row) sample rows that hold only their own asset's entry.
+
+    That is the PPMI row of a node with nothing but its self-loop: row
+    ``d * n + a`` of a graph, nonzero in column ``a`` alone.
+    """
+    _, rows, n = samples.shape
+    nonzero = samples != 0.0
+    own = nonzero[:, np.arange(rows), np.arange(rows) % n]
+    return float(np.mean(own & (np.count_nonzero(nonzero, axis=2) == 1)))
 
 
 def run_dynamic_fusion(config: RunConfig, panel: PricePanel, threads: int = 1) -> RunResult:

@@ -333,7 +333,7 @@ def test_fixture_artifacts_digest(fixture_run):
         if rel != "report.json":
             digest.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
     assert len(files) == 410
-    assert digest.hexdigest() == "436ca1441f6c2db2ab6852e037093819cc0907f0289f227f2225391ec48a2c81"
+    assert digest.hexdigest() == "f6fdb479489005c43a4ab786482162cb1fd6c0bfa501af6593e000b623e61f38"
 
 
 def test_crit_12_pca():

@@ -301,6 +301,17 @@ class TestCliDispatch:
         assert report["graphs"]["link_counts"]
         assert report["graphs"]["skips"]  # the warm-up day is skipped with a reason
 
+    def test_report_records_the_fit_quality(self, workspace):
+        root, config_path = workspace
+        out = root / "quality"
+        assert main(["--config", str(config_path), "--out", str(out), "--quiet", "run-all"]) == EXIT_OK
+        training = json.loads((out / "report.json").read_text())["training"]
+        assert sorted(training["explained_share"]) == ["overall", "per_graph"]
+        assert sorted(training["explained_share"]["per_graph"]) == ["d1_T0", "d1_T1", "d1_T2", "d5_T0", "d5_T1", "d5_T2"]
+        assert training["explained_share"]["overall"] < 1.0
+        assert 0.0 <= training["one_hot_row_share"] <= 1.0
+        assert json.loads((out / "model.json").read_text())["dtype"] == "float32"
+
     def test_graphs_stage_idempotent(self, workspace):
         root, config_path = workspace
         out = root / "idem"

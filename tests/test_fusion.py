@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import central_difference_grads, fusion_loop_oracle, max_relative_error
-from leadlag_fuse import neural
+from leadlag_fuse import fusion, neural
 from leadlag_fuse.fusion import (
     EmbeddingFrame,
     FusionArchitecture,
@@ -216,6 +216,70 @@ class TestGradients:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    def test_wide_float32_training_step_memory_budget(self):
+        # The float32 twin of the step above, on samples already cast as ``train`` casts
+        # them once: 4.8 MiB, half the float64 peak.
+        model = FusionModel(FusionArchitecture(graph_count=6, input_dim=200), seed=0, dtype=np.float32)
+        samples = np.random.default_rng(7).random((6, 420, 200)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model.loss_and_gradients(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 2**20
+
+
+class TestPrecision:
+    """A model computes in its ``params`` dtype; float64 is the reference the float32 model must track."""
+
+    def test_float32_training_epoch_never_upcasts(self, monkeypatch):
+        seen = {"records": [], "output_grads": [], "adam": []}
+
+        def recording(name, original):
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                if name == "forward":
+                    seen["records"].append(result)
+                elif name == "backward":
+                    seen["output_grads"].append(args[2])
+                else:
+                    state, params, grad = args
+                    seen["adam"].append((state.first_moment, state.second_moment, state.scratch, params, grad))
+                return result
+
+            return wrapper
+
+        for name in ("forward", "backward", "adam_step"):
+            monkeypatch.setattr(fusion, name, recording(name, getattr(fusion, name)))
+        model = FusionModel(TINY, seed=31, dtype=np.float32)
+        train(model, make_samples(np.random.default_rng(31), 12), 1, TrainingSettings(max_epochs=1))
+        assert model.params.dtype == np.float32
+        # per epoch: 4 training forwards, 4 validation forwards, 4 backwards, 1 Adam step
+        assert (len(seen["records"]), len(seen["output_grads"]), len(seen["adam"])) == (8, 4, 1)
+        arrays = [a for r in seen["records"] for a in (*r.inputs, *r.pre_activations, r.output)]
+        arrays += seen["output_grads"]  # the first is the residual, scaled in place into dL/drecon
+        arrays += list(seen["adam"][0])  # both moments, the scratch, the params and the gradient
+        assert [a.dtype for a in arrays] == [np.float32] * len(arrays)
+
+    def test_float32_and_float64_models_agree(self):
+        narrow = FusionModel(TINY, seed=32, dtype=np.float32)
+        wide = FusionModel(TINY, seed=32)
+        rng = np.random.default_rng(32)
+        narrow.params += (0.05 * rng.standard_normal(narrow.params.size)).astype(np.float32)
+        wide.params[:] = narrow.params  # the same float32-representable values
+        samples = make_samples(rng, 12).astype(np.float32)
+        narrow_loss, narrow_grad = narrow.loss_and_gradients(samples)
+        wide_loss, wide_grad = wide.loss_and_gradients(samples)
+        assert narrow_grad.dtype == np.float32 and wide_grad.dtype == np.float64
+        assert abs(narrow_loss - wide_loss) / wide_loss < 1e-3
+        assert max_relative_error([narrow_grad], [wide_grad], floor=1e-6) < 1e-3
+
+    def test_default_precision_is_float64(self):
+        model = FusionModel(TINY, seed=33)
+        assert model.params.dtype == np.float64
+        assert model.encode_batch(make_samples(np.random.default_rng(33), 4).astype(np.float32)).dtype == np.float64
+
 
 class TestTrain:
     def test_loss_decreases(self):
@@ -390,6 +454,34 @@ class TestCheckpoint:
         assert activations(loaded) == activations(model)
         save_model(loaded, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+    def test_float32_model_round_trips_in_its_dtype(self, tmp_path):
+        model = FusionModel(TINY, seed=24, dtype=np.float32)
+        train(model, make_samples(np.random.default_rng(24), 12), 1, TrainingSettings(max_epochs=3))
+        save_model(model, tmp_path / "model.json")
+        assert json.loads((tmp_path / "model.json").read_text())["dtype"] == "float32"
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.params.dtype == np.float32
+        assert np.array_equal(loaded.params, model.params)
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "model.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"dtype": "float16"}, "unsupported dtype 'float16'"),
+            ({"dtype": None}, "unsupported dtype None"),
+            ({"format_version": 1}, "unsupported model format version 1"),
+        ],
+    )
+    def test_unknown_dtype_and_version_1_files_refused(self, tmp_path, edit, message):
+        payload = self.saved_payload(tmp_path)
+        payload.update(edit)
+        if edit == {"format_version": 1}:
+            del payload["dtype"]  # a version-1 file records no dtype
+        (tmp_path / "old.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"old.json: {message}"):
+            load_model(tmp_path / "old.json")
 
     def test_version_checked(self, tmp_path):
         for edit in ("file", "entry"):

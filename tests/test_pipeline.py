@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import lagged_mi_matrix_reference, similarity_csv_oracle
-from leadlag_fuse import leadlag
+from leadlag_fuse import leadlag, pipeline as pipeline_module
 from leadlag_fuse.diffusion import node_features
-from leadlag_fuse.fusion import EmbeddingFrame
+from leadlag_fuse.fusion import EmbeddingFrame, load_model, save_model
 from leadlag_fuse.leadlag import LagSpec
 from leadlag_fuse.market_data import MS_PER_MINUTE, PricePanel, log_returns
 from leadlag_fuse.pipeline import (
@@ -21,6 +21,7 @@ from leadlag_fuse.pipeline import (
     build_graphs,
     cosine_matrix,
     cosine_similarity,
+    fit,
     link_count_summary,
     load_embeddings_csv,
     pca_project,
@@ -244,6 +245,42 @@ class TestFusedEmbeddingsCarryThePlantedLink:
 
     def test_planted_pair_is_not_most_similar_without_its_linking_graphs(self):
         assert min(self.planted_pair_ranks((LagSpec(1, 0), LagSpec(1, 2)))) > 1
+
+
+class TestFloat32Fit:
+    """``fit`` trains a float32 model; on the fixture it saves, loads and re-embeds bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fixture_fit(self):
+        config = RunConfig()
+        graphs, ends, _, _ = build_graphs(config, synthetic_panel(SyntheticSpec(), seed=7))
+        samples = samples_from_graphs(graphs, config.specs, ends, config.rwr)
+        return config, samples, *fit(config, graphs, ends)
+
+    def test_model_round_trips_and_reproduces_the_embeddings(self, fixture_fit, tmp_path):
+        _, samples, model, _, frame = fixture_fit
+        save_model(model, tmp_path / "model.json")
+        loaded = load_model(tmp_path / "model.json")
+        assert loaded.params.dtype == np.float32
+        assert np.array_equal(loaded.params, model.params)
+        assert np.array_equal(loaded.encode_batch(samples).reshape(frame.vectors.shape), frame.vectors)
+
+    def test_report_holds_the_fit_quality(self, fixture_fit):
+        config, _, _, report, _ = fixture_fit
+        shares = report.explained_share
+        assert list(shares["per_graph"]) == [spec.tag for spec in config.specs]
+        assert min(shares["per_graph"].values()) <= shares["overall"] <= max(shares["per_graph"].values())
+        assert 0.999 < shares["overall"] < 1.0
+        # only A00 and A01 are linked, in d1_T1 and d5_T0: on every date 4 of the 6 x 10 rows are not one-hot
+        assert report.one_hot_row_share == 56 / 60
+
+    def test_one_hot_rows_are_rows_of_their_own_asset_alone(self):
+        samples = np.zeros((1, 4, 2))  # two dates of two assets
+        samples[0, 0, 0] = 1.0  # asset 0 alone: one-hot
+        samples[0, 1, 0] = 1.0  # asset 1's row holds asset 0's entry: not one-hot
+        samples[0, 2, :] = 1.0  # two entries: not one-hot
+        samples[0, 3, 1] = 2.0  # asset 1 alone: one-hot
+        assert pipeline_module._one_hot_row_share(samples) == 0.5
 
 
 class TestLinkTimingFollowsTheCoupling:
