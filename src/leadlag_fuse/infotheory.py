@@ -204,20 +204,19 @@ def discretize_equal_frequency(values, states: int = 4) -> DiscreteSeries:
     """Map reals to ``states`` equal-frequency bins by rank.
 
     ``values`` is one series, or a (rows, columns) block whose columns are
-    binned independently. The value of rank r (0-based ascending along the
-    rows, ties broken by row index) goes to state floor(r * states / n), so
-    each state receives either floor(n / states) or ceil(n / states) points.
+    binned independently. A value goes to state floor(r * states / n), where
+    r is its min-rank: the number of values in its column strictly below it.
+    Tied values therefore share one state, and the state of a value does not
+    depend on the row it sits in. Where the values of a column are distinct,
+    each state receives either floor(n / states) or ceil(n / states) points;
+    ties make the counts uneven, and a constant column has one state.
     Rank-based binning makes the result invariant under any strictly
     increasing transform. Non-finite values are rejected.
 
-    No ranking is formed. Rank r reaches state k exactly when r >= p_k =
-    ceil(k * n / states), so a value's state is the number of edges e_k (the
-    value of rank p_k, read from one sorted copy of the block) that it is at
-    or above in (value, row) order. A value strictly above e_k counts; a value
-    equal to e_k counts unless it ranks below p_k, which only happens in a
-    column where the value of rank p_k - 1 equals e_k as well. There, the
-    first p_k - count(v < e_k) values equal to e_k in row order are the ones
-    below p_k, and each loses that edge.
+    No ranking is formed. A min-rank r reaches state k exactly when r >= p_k =
+    ceil(k * n / states), that is when the value lies strictly above the
+    value of rank p_k - 1, read from one sorted copy of the block. So a
+    value's state is the number of those edges that it lies strictly above.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim not in (1, 2):
@@ -233,18 +232,7 @@ def discretize_equal_frequency(values, states: int = 4) -> DiscreteSeries:
         raise ValueError(f"cannot bin {v.size - np.count_nonzero(np.isfinite(v))} non-finite values")
     codes = np.zeros(block.shape, dtype=np.int64)
     for k in range(1, states):
-        p = -(-k * n // states)
-        edge = ordered[p]
-        codes += block >= edge
-        tied = np.flatnonzero(ordered[p - 1] == edge)
-        if tied.size:
-            values_tied, edge_tied = block[:, tied], edge[tied]
-            equal = values_tied == edge_tied
-            below = p - np.count_nonzero(values_tied < edge_tied, axis=0)
-            # int32 running counts: a block of 2**31 rows would be 16 GiB per column
-            loses = np.zeros(block.shape, dtype=bool)
-            loses[:, tied] = equal & (np.cumsum(equal, axis=0, dtype=np.int32) <= below)
-            codes -= loses
+        codes += block > ordered[-(-k * n // states) - 1]
     return DiscreteSeries(states=codes.reshape(v.shape), cardinality=states)
 
 

@@ -8,10 +8,10 @@ perturbs one parameter entry at a time; the similarity oracle takes one
 runs the autoencoder graph by graph with one 2-D product per graph and layer.
 
 ``discretize_reference``, ``mi_bits_from_counts_reference`` and
-``lagged_mi_matrix_reference`` are the graph-stage kernels as they were before
-binning by order statistics and (S-1)-state counts: a stable argsort ranking,
-full S-state one-hot GEMMs and the direct MI formula. The library's kernels
-must match them bit for bit.
+``lagged_mi_matrix_reference`` are the graph-stage kernels as direct formulas:
+a min-rank per value from ``np.searchsorted`` on the sorted column, full
+S-state one-hot GEMMs and the direct MI formula. The library's kernels must
+match them bit for bit.
 """
 
 from __future__ import annotations
@@ -174,16 +174,12 @@ def fusion_loop_oracle(model, x):
 
 
 def discretize_reference(values, states: int = 4) -> np.ndarray:
-    """States of an equal-frequency binning by rank: a stable argsort, ties by row index."""
+    """States of an equal-frequency binning by min-rank: tied values share the state of their first sorted position."""
     v = np.asarray(values, dtype=float)
     n = v.shape[0]
-    order = np.argsort(v, axis=0, kind="stable")
-    ranks = np.empty(v.shape, dtype=np.int64)
-    rank_of_position = np.arange(n, dtype=np.int64).reshape((n,) + (1,) * (v.ndim - 1))
-    np.put_along_axis(ranks, order, rank_of_position, axis=0)
-    ranks *= states
-    ranks //= n
-    return ranks
+    columns = v.reshape(n, -1).T
+    min_ranks = np.stack([np.searchsorted(np.sort(col), col, "left") for col in columns], axis=1)
+    return (min_ranks * states // n).reshape(v.shape)
 
 
 def mi_bits_from_counts_reference(counts: np.ndarray) -> np.ndarray:

@@ -31,8 +31,8 @@ class TestDiscretize:
     def test_rank_order(self):
         assert discretize_equal_frequency([3.0, 1.0, 4.0, 2.0], 4).states.tolist() == [2, 0, 3, 1]
 
-    def test_ties_broken_by_index(self):
-        assert discretize_equal_frequency([5.0, 5.0, 5.0, 5.0], 4).states.tolist() == [0, 1, 2, 3]
+    def test_constant_series_has_one_state(self):
+        assert discretize_equal_frequency([5.0, 5.0, 5.0, 5.0], 4).states.tolist() == [0, 0, 0, 0]
 
     def test_equal_frequency_counts(self):
         d = discretize_equal_frequency(np.random.default_rng(0).random(8), 4)
@@ -130,9 +130,16 @@ class TestKernelsMatchReferences:
         for column in block.T:
             assert np.array_equal(discretize_equal_frequency(column, states).states, discretize_reference(column, states))
 
-    def test_ties_go_to_the_earlier_rows(self):
-        values = [0.0, 1.0, 0.0, -1.0, 0.0, 0.0, -0.0, 2.0]
-        assert discretize_equal_frequency(values, 4).states.tolist() == [0, 3, 1, 0, 1, 2, 2, 3]
+    def test_tied_values_share_a_state(self):
+        values = [0.0, 1.0, 0.0, -1.0, 0.0, 0.0, -0.0, 2.0]  # -0.0 ties with 0.0
+        assert discretize_equal_frequency(values, 4).states.tolist() == [0, 3, 0, 0, 0, 0, 0, 3]
+
+    @pytest.mark.parametrize("kind", ["ties30", "ties80", "constant", "signed-zeros"])
+    def test_states_follow_rows_under_permutation(self, kind):
+        block = next(block for states, k, block in _reference_grid_blocks() if states == 4 and k == kind)
+        rows = np.random.default_rng(7).permutation(block.shape[0])
+        permuted = discretize_equal_frequency(block[rows], 4).states
+        assert np.array_equal(permuted, discretize_equal_frequency(block, 4).states[rows])
 
     @pytest.mark.parametrize("states", range(1, 10))
     def test_mi_from_counts_equals_direct_formula(self, states):

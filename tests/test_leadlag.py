@@ -307,6 +307,18 @@ class TestGraphConstruction:
         # the estimator stays defined: graph construction does not raise
         build_graph(rm, LagSpec(1, 1), int(rm.timestamps[-1]), 0.01)
 
+    def test_illiquid_and_constant_columns_are_not_linked(self):
+        # two independent 80%-zero columns and a constant one: their ties must not read as dependence
+        rng = np.random.default_rng(3)
+        r = 0.001 * rng.standard_normal((1440, 3))
+        r[:, :2][rng.random((1440, 2)) < 0.8] = 0.0
+        r[:, 2] = 0.0
+        rm = make_returns(r)
+        mi = lagged_mi_matrix(rm, 1, 4)
+        assert mi.max() <= 0.01
+        assert not mi[2].any() and not mi[:, 2].any()
+        assert build_graph(rm, LagSpec(1, 1), int(rm.timestamps[-1]), 0.01).validated_link_count == 0
+
     def test_write_load_round_trip(self, tmp_path):
         rm = planted_returns(5, rows=722, n=4, coupling=0.9, noise=0.2)
         graph = build_graph(rm, LagSpec(1, 1), int(rm.timestamps[-1]), 0.01)

@@ -215,7 +215,12 @@ class TestGraphStageMatchesReferences:
         for graph, expected in zip(graphs, reference):
             assert (graph.spec, graph.window_end) == (expected.spec, expected.window_end)
             assert np.array_equal(graph.weights, expected.weights), graph.spec.tag
-        assert all(g.weights[0, 1] > 0.0 for g in graphs if g.spec == LagSpec(1, 1))
+        illiquid = slice(6, n)
+        assert not any(g.weights[illiquid, illiquid].any() for g in graphs)  # tied zeros link nothing
+        for graph in graphs:
+            if graph.spec == LagSpec(1, 1):  # only the planted A00 -> A01
+                assert graph.validated_link_count == 1
+                assert np.argwhere(graph.weights).tolist() == [[0, 1], [1, 0]]
 
 
 class TestFusedEmbeddingsCarryThePlantedLink:
