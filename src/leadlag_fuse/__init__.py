@@ -16,7 +16,6 @@ from .infotheory import (
     discretize_equal_frequency,
     mutual_information_bits,
     significance_threshold,
-    test_link,
 )
 from .leadlag import LagSpec, LeadLagGraph, build_graph, lagged_mi_matrix
 from .market_data import PricePanel, ReturnMatrix, load_prices, log_returns, resample
@@ -69,6 +68,5 @@ __all__ = [
     "significance_threshold",
     "similarity_matrix",
     "similarity_series",
-    "test_link",
     "train_fusion",
 ]

@@ -8,6 +8,11 @@ Subcommands:
     postprocess  similarity series and PCA projection from embeddings
     run-all      ingest + graphs + fuse + postprocess in one process
 
+Every command first parses the whole config file, ``--set`` overrides
+included, into one checked ``RunConfig`` (``load_config``), so a bad value
+anywhere in the file stops any command with exit code 3 before it writes
+anything. The stages take that ``RunConfig`` and never re-read the file.
+
 All stages are deterministic given the config and seeds, and idempotent:
 re-running a stage with unchanged inputs rewrites identical files.
 """
@@ -15,26 +20,24 @@ re-running a stage with unchanged inputs rewrites identical files.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 from . import fusion, pipeline
 from .market_data import PricePanel, load_panel_csv, load_prices, write_panel_csv
-from .pipeline import ConfigError, RunConfig
-from .synthetic import SyntheticSpec, generate_synthetic
+from .pipeline import ConfigError, DataSettings, RunConfig
+from .synthetic import generate_synthetic
 
 logger = logging.getLogger(__name__)
 
 OUT_ENV_VAR = "LEADLAG_FUSE_OUT"
 CONFIG_SCHEMA_VERSION = 1
-_CLI_SECTIONS = ("schema_version", "data", "seeds", "synth")  # config keys that are not RunConfig fields
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -43,81 +46,51 @@ EXIT_CONFIG = 3
 EXIT_MISSING_INPUT = 4
 
 
-@dataclass(frozen=True)
-class DataSettings:
-    """Where the raw price CSVs live (relative to the config file) and their bar length."""
-
-    prices_dir: str = "prices"
-    base_period_minutes: int = 1
-
-
-@dataclass(frozen=True)
-class Seeds:
-    """The data seed of ``synth`` and the split and init seeds of ``RunConfig``."""
-
-    data: int = 7
-    split: int = RunConfig.seed_split
-    init: int = RunConfig.seed_init
-
-
 def _json_tree(obj) -> dict:
     """A dataclass as the JSON-shaped dict a config file holds (tuples become lists)."""
     return json.loads(json.dumps(asdict(obj)))
 
 
+def _config_tree(config: RunConfig) -> dict:
+    return {"schema_version": CONFIG_SCHEMA_VERSION, **_json_tree(config)}
+
+
 def default_config() -> dict:
-    """Schema and defaults of the run configuration file.
+    """Every key of the run configuration file with its default: ``RunConfig()`` as JSON.
 
-    Every section is a settings dataclass: ``data`` is ``DataSettings``,
-    ``seeds`` is ``Seeds``, ``synth`` is ``SyntheticSpec`` and the top level
-    is ``RunConfig``, whose two seeds live under ``seeds``.
+    The file maps 1:1 onto ``RunConfig``: top-level keys are its fields, and
+    the ``data``, ``seeds``, ``synth``, ``rwr``, ``model`` and ``training``
+    sections are its nested settings dataclasses.
     """
-    run = _json_tree(RunConfig())
-    del run["seed_split"], run["seed_init"]
-    synth = _json_tree(SyntheticSpec())
-    del synth["start_ms"]  # fixed by the generator, not configurable
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "data": _json_tree(DataSettings()),
-        **run,
-        "seeds": _json_tree(Seeds()),
-        "synth": synth,
-    }
+    return _config_tree(RunConfig())
 
 
-def _merge_onto_defaults(user: dict, defaults: dict, path: str = "") -> dict:
-    merged = copy.deepcopy(defaults)
-    for key, value in user.items():
-        here = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigError(f"unknown key in config: {here}")
-        if isinstance(defaults[key], dict) and isinstance(value, dict):
-            merged[key] = _merge_onto_defaults(value, defaults[key], here)
+def _merge(tree: dict, patch: dict) -> None:
+    """Merge ``patch`` into ``tree`` in place: objects merge key by key, anything else replaces."""
+    for key, value in patch.items():
+        if isinstance(value, dict) and isinstance(tree.get(key), dict):
+            _merge(tree[key], value)
         else:
-            merged[key] = copy.deepcopy(value)
-    return merged
+            tree[key] = value
 
 
-def load_config(path: str | Path) -> dict:
-    """Parse, validate against the schema, and fill defaults."""
+def load_config(path: str | Path, assignments: Sequence[str] = ()) -> RunConfig:
+    """The config file, with each ``--set a.b=v`` assignment merged in, as a checked ``RunConfig``.
+
+    An assignment merges like a file holding ``{"a": {"b": v}}``; ``v`` is read
+    as JSON, else as a string. Omitted keys take their defaults; an unknown
+    key, a value of the wrong type or a failed check raises ``ConfigError``.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+            tree = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(user, dict):
+    if not isinstance(tree, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    version = user.get("schema_version", CONFIG_SCHEMA_VERSION)
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config schema_version {version}; expected {CONFIG_SCHEMA_VERSION}")
-    return _merge_onto_defaults(user, default_config())
-
-
-def apply_overrides(config: dict, assignments: Sequence[str]) -> dict:
-    """Apply repeatable ``--set a.b=v`` assignments, each merged like ``{"a": {"b": v}}`` in a config file."""
     for assignment in assignments:
         if "=" not in assignment:
             raise ConfigError(f"override {assignment!r} is not of the form key=value")
@@ -128,8 +101,16 @@ def apply_overrides(config: dict, assignments: Sequence[str]) -> dict:
             value = raw
         for part in reversed(key.split(".")):
             value = {part: value}
-        config = _merge_onto_defaults(value, config)
-    return config
+        _merge(tree, value)
+    version = tree.pop("schema_version", CONFIG_SCHEMA_VERSION)
+    if version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config schema_version {version}; expected {CONFIG_SCHEMA_VERSION}")
+    try:
+        return _from_tree(RunConfig, tree, "")
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:  # a settings dataclass refused its values
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
 def _from_tree(kind: Any, value: Any, path: str) -> Any:
@@ -177,37 +158,18 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def build_run_config(config: dict) -> RunConfig:
-    """The config tree as a validated RunConfig; ``seeds.split`` and ``seeds.init`` seed it."""
-    tree = {key: value for key, value in config.items() if key not in _CLI_SECTIONS}
-    try:
-        seeds = _from_tree(Seeds, config["seeds"], "seeds")
-        return _from_tree(RunConfig, {**tree, "seed_split": seeds.split, "seed_init": seeds.init}, "")
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid configuration: {exc}") from exc
-
-
-def build_synth_spec(config: dict) -> SyntheticSpec:
-    try:
-        return _from_tree(SyntheticSpec, config["synth"], "synth")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synth configuration: {exc}") from exc
-
-
 # --- report -------------------------------------------------------------------
 
 
-def _update_report(out_dir: Path, section: str, payload: dict, config: dict) -> None:
+def _update_report(out_dir: Path, section: str, payload: dict, config: RunConfig) -> None:
     report_path = out_dir / "report.json"
     if report_path.exists():
         with open(report_path, encoding="utf-8") as fh:
             report = json.load(fh)
     else:
         report = {"schema_version": CONFIG_SCHEMA_VERSION}
-    report["effective_config"] = config
-    report["seeds"] = config["seeds"]
+    report["effective_config"] = _config_tree(config)
+    report["seeds"] = _json_tree(config.seeds)
     report[section] = payload
     out_dir.mkdir(parents=True, exist_ok=True)
     # write beside the report, then rename: a crash never leaves a truncated report
@@ -226,29 +188,24 @@ def _prices_dir(data: DataSettings, config_dir: Path) -> Path:
     return raw if raw.is_absolute() else config_dir / raw
 
 
-def stage_synth(out_dir: Path, config: dict, config_dir: Path) -> list[Path]:
-    spec = build_synth_spec(config)
-    seed = _from_tree(Seeds, config["seeds"], "seeds").data
-    prices_dir = _prices_dir(_from_tree(DataSettings, config["data"], "data"), config_dir)
-    paths = generate_synthetic(spec, seed=seed, out_dir=prices_dir)
+def stage_synth(out_dir: Path, config: RunConfig, config_dir: Path) -> list[Path]:
+    spec = config.synth
+    prices_dir = _prices_dir(config.data, config_dir)
+    paths = generate_synthetic(spec, seed=config.seeds.data, out_dir=prices_dir)
     logger.info("wrote %d synthetic price files to %s", len(paths), prices_dir)
     _update_report(out_dir, "synth", {"assets": spec.n_assets, "days": spec.days, "dir": str(prices_dir)}, config)
     return paths
 
 
-def stage_ingest(out_dir: Path, config: dict, config_dir: Path) -> PricePanel:
-    data = _from_tree(DataSettings, config["data"], "data")
-    prices_dir = _prices_dir(data, config_dir)
+def stage_ingest(out_dir: Path, config: RunConfig, config_dir: Path) -> PricePanel:
+    prices_dir = _prices_dir(config.data, config_dir)
     if not prices_dir.is_dir():
         raise FileNotFoundError(f"prices directory not found: {prices_dir} (run 'synth' or point data.prices_dir at your data)")
     files = sorted(prices_dir.glob("*.csv"))
     if not files:
         raise FileNotFoundError(f"no price CSV files in {prices_dir}")
-    run_config = build_run_config(config)
-    base = data.base_period_minutes
-    longest = max(
-        run_config.window_rows(spec) * (spec.period_minutes // base) for spec in run_config.specs
-    )
+    base = config.data.base_period_minutes
+    longest = max(config.window_rows(spec) * (spec.period_minutes // base) for spec in config.specs)
     panel = load_prices(files, base_period_minutes=base, min_rows=longest + 1)
     write_panel_csv(panel, out_dir / "panel.csv")
     logger.info("ingested %d assets x %d rows", panel.n_assets, panel.timestamps.size)
@@ -261,14 +218,13 @@ def stage_ingest(out_dir: Path, config: dict, config_dir: Path) -> PricePanel:
     return panel
 
 
-def stage_graphs(out_dir: Path, config: dict, panel: PricePanel | None = None, threads: int = 1):
+def stage_graphs(out_dir: Path, config: RunConfig, panel: PricePanel | None = None, threads: int = 1):
     if panel is None:
         panel_path = out_dir / "panel.csv"
         if not panel_path.exists():
             raise FileNotFoundError(f"panel cache not found: {panel_path} (run 'ingest' first)")
         panel = load_panel_csv(panel_path)
-    run_config = build_run_config(config)
-    graphs, usable_ends, skips, flags = pipeline.build_graphs(run_config, panel, threads=threads)
+    graphs, usable_ends, skips, flags = pipeline.build_graphs(config, panel, threads=threads)
     pipeline.write_graph_artifacts(graphs, out_dir / "graphs")
     payload = {
         "usable_window_ends": usable_ends,
@@ -281,12 +237,11 @@ def stage_graphs(out_dir: Path, config: dict, panel: PricePanel | None = None, t
     return graphs, usable_ends
 
 
-def stage_fuse(out_dir: Path, config: dict, graphs=None, usable_ends=None):
-    run_config = build_run_config(config)
+def stage_fuse(out_dir: Path, config: RunConfig, graphs=None, usable_ends=None):
     if graphs is None:
         graphs = pipeline.load_graph_artifacts(out_dir / "graphs")
         usable_ends = sorted({g.window_end for g in graphs})
-    model, report, frame = pipeline.fit(run_config, graphs, usable_ends)
+    model, report, frame = pipeline.fit(config, graphs, usable_ends)
     pipeline.write_embeddings_csv(frame, out_dir / "embeddings.csv")
     fusion.save_model(model, out_dir / "model.json")
     count = len(frame.window_ends) * len(frame.universe)
@@ -296,20 +251,19 @@ def stage_fuse(out_dir: Path, config: dict, graphs=None, usable_ends=None):
     return frame
 
 
-def stage_postprocess(out_dir: Path, config: dict, frame=None):
-    run_config = build_run_config(config)
+def stage_postprocess(out_dir: Path, config: RunConfig, frame=None):
     if frame is None:
         embeddings_path = out_dir / "embeddings.csv"
         if not embeddings_path.exists():
             raise FileNotFoundError(f"embeddings not found: {embeddings_path} (run 'fuse' first)")
         frame = pipeline.load_embeddings_csv(embeddings_path)
-    if run_config.similarity_pairs == "all":
+    if config.similarity_pairs == "all":
         universe = frame.universe
         pairs = [(a, b) for i, a in enumerate(universe) for b in universe[i + 1 :]]
     else:
-        pairs = list(run_config.similarity_pairs)
+        pairs = list(config.similarity_pairs)
     pipeline.write_similarity_csv(frame, pairs, out_dir / "similarity")
-    projection = pipeline.pca_project(frame, run_config.pca_components)
+    projection = pipeline.pca_project(frame, config.pca_components)
     pipeline.write_pca_csv(projection, out_dir / "pca.csv")
     payload = {
         "similarity_pairs": len(pairs),
@@ -357,8 +311,7 @@ def _resolve_out(args: argparse.Namespace) -> Path:
 
 def _dispatch(args: argparse.Namespace) -> int:
     out_dir = _resolve_out(args)
-    config = load_config(args.config)
-    config = apply_overrides(config, args.overrides)
+    config = load_config(args.config, args.overrides)
     config_dir = Path(args.config).resolve().parent
 
     if args.command == "synth":

@@ -28,7 +28,6 @@ __all__ = [
     "gamma_cdf",
     "gamma_quantile",
     "significance_threshold",
-    "test_link",
 ]
 
 # Lanczos approximation, g=7, 9 coefficients.
@@ -316,10 +315,3 @@ def significance_threshold(cfg: MiTestConfig) -> float:
     alpha = (cfg.states_x - 1) * (cfg.states_y - 1) / 2.0
     beta = 1.0 / (cfg.sample_size * math.log(2.0))
     return gamma_quantile(1.0 - cfg.corrected_p, alpha, beta)
-
-
-def test_link(mi_bits: float, cfg: MiTestConfig) -> bool:
-    """True iff the estimated MI rejects independence (strictly above threshold)."""
-    if mi_bits < 0.0:
-        raise ValueError(f"mi_bits must be nonnegative, got {mi_bits}")
-    return mi_bits > significance_threshold(cfg)

@@ -40,6 +40,7 @@ from .fusion import (
 )
 from .leadlag import LagSpec, LeadLagGraph
 from .market_data import PricePanel, ReturnMatrix, _fmt, log_returns, resample
+from .synthetic import SyntheticSpec
 
 logger = logging.getLogger(__name__)
 
@@ -47,6 +48,8 @@ __all__ = [
     "ConfigError",
     "TrainingSettings",
     "ModelSettings",
+    "DataSettings",
+    "Seeds",
     "RunConfig",
     "PcaProjection",
     "RunResult",
@@ -82,9 +85,31 @@ def _default_specs() -> tuple[LagSpec, ...]:
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything one run needs besides the price panel itself."""
+class DataSettings:
+    """Where the raw price CSVs live (relative to the config file) and their bar length."""
 
+    prices_dir: str = "prices"
+    base_period_minutes: int = 1
+
+
+@dataclass(frozen=True)
+class Seeds:
+    """The data seed of ``synth``, the train/validation split seed and the model init seed."""
+
+    data: int = 7
+    split: int = 11
+    init: int = 13
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's settings; each field is a key of the config file, each nested dataclass a section.
+
+    The library reads every field but ``data``, ``seeds.data`` and ``synth``,
+    which only the CLI stages that find or generate the price files read.
+    """
+
+    data: DataSettings = field(default_factory=DataSettings)
     specs: tuple[LagSpec, ...] = field(default_factory=_default_specs)
     window_minutes: int = 1440
     window_ends: str | tuple[int, ...] = "daily"  # rule or explicit timestamps
@@ -93,10 +118,10 @@ class RunConfig:
     rwr: RwrConfig = field(default_factory=RwrConfig)
     model: ModelSettings = field(default_factory=ModelSettings)
     training: TrainingSettings = field(default_factory=TrainingSettings)
-    seed_split: int = 11
-    seed_init: int = 13
+    seeds: Seeds = field(default_factory=Seeds)
     pca_components: int = 2
     similarity_pairs: str | tuple[tuple[str, str], ...] = "all"
+    synth: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
@@ -293,8 +318,8 @@ def fit(
     arch = FusionArchitecture(graph_count=len(config.specs), input_dim=len(universe), **asdict(config.model))
     # float32 halves the fit's time and keeps the fixture's claims (README, "Precision");
     # FusionModel's float64 default is the reference the gradient checks run on
-    model = FusionModel(arch, seed=config.seed_init, dtype=np.float32)
-    report = fusion.train(model, samples, config.seed_split, config.training)
+    model = FusionModel(arch, seed=config.seeds.init, dtype=np.float32)
+    report = fusion.train(model, samples, config.seeds.split, config.training)
     frame = fusion.extract_embeddings(model, samples, universe, usable_ends)
     report.explained_share = _explained_share(model, samples, config.specs)
     report.one_hot_row_share = _one_hot_row_share(samples)

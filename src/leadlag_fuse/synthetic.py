@@ -18,7 +18,7 @@ from .market_data import MS_PER_MINUTE, PricePanel, write_price_files
 __all__ = ["PlantedCoupling", "SyntheticSpec", "synthetic_returns", "synthetic_panel", "generate_synthetic"]
 
 MINUTES_PER_DAY = 1440
-DEFAULT_START_MS = 1_609_459_200_000  # 2021-01-01T00:00:00Z
+START_MS = 1_609_459_200_000  # 2021-01-01T00:00:00Z, the first price row of every universe
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class SyntheticSpec:
     days: int = 30
     base_price: float = 100.0
     volatility: float = 0.001  # per-minute log-return sigma
-    start_ms: int = DEFAULT_START_MS
     asset_prefix: str = "A"
     couplings: tuple[PlantedCoupling, ...] = field(
         default_factory=lambda: (PlantedCoupling("A00", "A01", 1, 0.8, 0.5),)
@@ -60,8 +59,6 @@ class SyntheticSpec:
             raise ValueError(f"days must be positive, got {self.days}")
         if self.base_price <= 0.0 or self.volatility <= 0.0:
             raise ValueError("base_price and volatility must be positive")
-        if self.start_ms % MS_PER_MINUTE != 0:
-            raise ValueError("start_ms must fall on a minute boundary")
         universe = set(self.asset_names())
         for c in self.couplings:
             for name in (c.leader, c.follower):
@@ -89,7 +86,7 @@ def synthetic_returns(spec: SyntheticSpec, seed: int) -> tuple[np.ndarray, tuple
         elif c.lag < n_returns:
             coupled[c.lag :] = c.coupling * returns[: n_returns - c.lag, li]
         returns[:, fi] = coupled + noise
-    timestamps = spec.start_ms + MS_PER_MINUTE * np.arange(n_prices, dtype=np.int64)
+    timestamps = START_MS + MS_PER_MINUTE * np.arange(n_prices, dtype=np.int64)
     return timestamps, assets, returns
 
 

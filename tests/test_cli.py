@@ -1,7 +1,9 @@
 import hashlib
 import json
+import re
 import shutil
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +15,6 @@ from leadlag_fuse.cli import (
     EXIT_FAILURE,
     EXIT_MISSING_INPUT,
     EXIT_OK,
-    apply_overrides,
-    build_run_config,
-    build_synth_spec,
     default_config,
     load_config,
     main,
@@ -26,7 +25,9 @@ from leadlag_fuse.leadlag import LagSpec
 from leadlag_fuse.market_data import load_prices
 from leadlag_fuse.pipeline import (
     ConfigError,
+    DataSettings,
     RunConfig,
+    Seeds,
     load_embeddings_csv,
     load_graph_artifacts,
     run_dynamic_fusion,
@@ -60,6 +61,13 @@ def fields_at_default(obj, default):
         elif value == base:
             names.append(f.name)
     return names
+
+
+def parse(tmp_path, assignments=(), tree=None):
+    """``load_config`` of a file holding ``tree`` (an empty object by default) with ``assignments``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({} if tree is None else tree))
+    return load_config(path, assignments)
 
 
 def tree_bytes(base, pattern):
@@ -109,10 +117,10 @@ class TestConfigHandling:
     def test_defaults_filled_for_partial_config(self, workspace):
         _, config_path = workspace
         config = load_config(config_path)
-        assert config["window_minutes"] == 1440
-        assert config["synth"]["n_assets"] == 4  # user value kept
-        assert config["training"]["max_epochs"] == 40
-        assert config["training"]["learning_rate"] == 0.001  # default merged in
+        assert config.window_minutes == 1440
+        assert config.synth.n_assets == 4  # user value kept
+        assert config.training.max_epochs == 40
+        assert config.training.learning_rate == 0.001  # default merged in
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -126,23 +134,23 @@ class TestConfigHandling:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(path)
 
-    def test_overrides_parse_json_values(self):
-        config = default_config()
-        out = apply_overrides(config, ["training.max_epochs=7", "window_ends=[60000,120000]"])
-        assert out["training"]["max_epochs"] == 7
-        assert out["window_ends"] == [60000, 120000]
+    def test_overrides_parse_json_values(self, tmp_path):
+        config = parse(tmp_path, ["training.max_epochs=7", "window_ends=[60000,120000]"])
+        assert config.training.max_epochs == 7
+        assert config.window_ends == (60000, 120000)
 
-    def test_override_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            apply_overrides(default_config(), ["rwr.bogus=1"])
+    def test_override_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key in config: rwr.bogus"):
+            parse(tmp_path, ["rwr.bogus=1"])
 
-    def test_override_requires_equals(self):
+    def test_override_requires_equals(self, tmp_path):
         with pytest.raises(ConfigError, match="key=value"):
-            apply_overrides(default_config(), ["training.max_epochs"])
+            parse(tmp_path, ["training.max_epochs"])
 
-    def test_defaults_match_library_defaults(self):
-        assert build_run_config(default_config()) == RunConfig()
-        assert build_synth_spec(default_config()) == SyntheticSpec()
+    def test_defaults_match_library_defaults(self, tmp_path):
+        assert parse(tmp_path) == RunConfig()
+        assert parse(tmp_path, tree=default_config()) == RunConfig()
+        assert RunConfig().synth == SyntheticSpec()
 
     def test_every_field_round_trips_through_the_config_tree(self, tmp_path):
         run = RunConfig(
@@ -156,42 +164,29 @@ class TestConfigHandling:
             training=TrainingSettings(
                 max_epochs=17, learning_rate=0.01, patience=None, min_delta=1e-4, validation_fraction=0.2
             ),
-            seed_split=3,
-            seed_init=4,
+            seeds=Seeds(data=21, split=3, init=4),
             pca_components=3,
             similarity_pairs=(("X00", "X01"), ("X02", "X03")),
+            data=DataSettings(prices_dir="elsewhere", base_period_minutes=5),
+            synth=SyntheticSpec(
+                n_assets=5,
+                days=2,
+                base_price=50.0,
+                volatility=0.002,
+                asset_prefix="X",
+                couplings=(PlantedCoupling("X00", "X01", 2, 0.5, 0.1), PlantedCoupling("X02", "X03", 0, 0.3, 0.0)),
+            ),
         )
-        synth = SyntheticSpec(
-            n_assets=5,
-            days=2,
-            base_price=50.0,
-            volatility=0.002,
-            asset_prefix="X",
-            couplings=(PlantedCoupling("X00", "X01", 2, 0.5, 0.1), PlantedCoupling("X02", "X03", 0, 0.3, 0.0)),
-        )
-        data = cli.DataSettings(prices_dir="elsewhere", base_period_minutes=5)
-        seeds = cli.Seeds(data=21, split=run.seed_split, init=run.seed_init)
-        # start_ms is fixed by the generator and has no config key
+        # every field, in every section, is away from its default, so each must travel through the file
         assert fields_at_default(run, RunConfig()) == []
-        assert fields_at_default(synth, SyntheticSpec()) == ["start_ms"]
-        assert fields_at_default(data, cli.DataSettings()) == fields_at_default(seeds, cli.Seeds()) == []
-        tree = cli._json_tree(run)
-        del tree["seed_split"], tree["seed_init"]
-        synth_tree = cli._json_tree(synth)
-        del synth_tree["start_ms"]
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({**tree, "data": cli._json_tree(data), "seeds": cli._json_tree(seeds), "synth": synth_tree}))
-        config = load_config(path)
-        assert build_run_config(config) == run
-        assert build_synth_spec(config) == synth
-        assert cli._from_tree(cli.DataSettings, config["data"], "data") == data
-        assert cli._from_tree(cli.Seeds, config["seeds"], "seeds") == seeds
+        assert fields_at_default(run.synth, SyntheticSpec()) == []
+        assert parse(tmp_path, tree={"schema_version": 1, **cli._json_tree(run)}) == run
 
     def test_unknown_key_in_spec_entry_rejected(self, tmp_path):
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({"specs": [{"period_minutes": 1, "lag": 0, "window_row": 60}]}))
         with pytest.raises(ConfigError, match="unknown key in config: specs.0.window_row"):
-            build_run_config(load_config(path))
+            load_config(path)
 
     def test_unknown_key_in_coupling_entry_rejected(self, tmp_path, capsys):
         coupling = {"leader": "A00", "follower": "A01", "lag": 1, "coupling": 0.8, "noise": 0.5, "nosie": 9}
@@ -203,25 +198,27 @@ class TestConfigHandling:
         assert not (tmp_path / "prices").exists()
 
     @pytest.mark.parametrize(
-        "assignment, build",
+        "assignment, key",
         [
-            ("states=4.9", build_run_config),
-            ("training.max_epochs=10.5", build_run_config),
-            ('specs=[{"period_minutes": 1, "lag": 0.5}]', build_run_config),
-            ("synth.days=2.5", build_synth_spec),
+            ("states=4.9", "states"),
+            ("training.max_epochs=10.5", "training.max_epochs"),
+            ('specs=[{"period_minutes": 1, "lag": 0.5}]', "specs.0.lag"),
+            ("synth.days=2.5", "synth.days"),
         ],
     )
-    def test_integer_keys_reject_fractions(self, assignment, build):
-        with pytest.raises(ConfigError, match="whole number"):
-            build(apply_overrides(default_config(), [assignment]))
+    def test_integer_keys_reject_fractions(self, tmp_path, assignment, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be a whole number"):
+            parse(tmp_path, [assignment])
 
     @pytest.mark.parametrize("assignment", ["states=4.0", 'states="4"'])
-    def test_integer_keys_accept_whole_numbers(self, assignment):
-        assert build_run_config(apply_overrides(default_config(), [assignment])).states == 4
+    def test_integer_keys_accept_whole_numbers(self, tmp_path, assignment):
+        assert parse(tmp_path, [assignment]).states == 4
 
-    def test_override_of_a_section_merges_onto_its_defaults(self):
-        config = apply_overrides(default_config(), ['rwr={"steps": 4}'])
-        assert build_run_config(config).rwr == RwrConfig(steps=4)
+    def test_override_of_a_section_merges_onto_its_defaults(self, tmp_path):
+        assert parse(tmp_path, ['rwr={"steps": 4}']).rwr == RwrConfig(steps=4)
+        # and onto the file's section, key by key
+        config = parse(tmp_path, ['rwr={"steps": 4}'], tree={"rwr": {"restart_keep": 0.9}})
+        assert config.rwr == RwrConfig(restart_keep=0.9, steps=4)
 
     @pytest.mark.parametrize(
         "assignment, stage, key",
@@ -278,10 +275,53 @@ class TestConfigHandling:
         assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "--set", "data.prices_dir=5", "synth"]) == EXIT_OK
         assert sorted(p.name for p in (tmp_path / "5").iterdir()) == ["A00.csv", "A01.csv"]
 
-    def test_override_into_a_list_rejected(self):
-        config = apply_overrides(default_config(), ["specs.0.lag=2"])
+    def test_override_into_a_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="specs must be a list"):
-            build_run_config(config)
+            parse(tmp_path, ["specs.0.lag=2"])
+
+    @pytest.mark.parametrize(
+        "command, assignment, named",
+        [
+            ("synth", "states=4.9", "states must be a whole number"),
+            ("synth", "training.max_epochs=true", "training.max_epochs must be a number"),
+            ("ingest", "synth.days=2.5", "synth.days must be a whole number"),
+            (
+                "ingest",
+                'synth.couplings=[{"leader": "A00", "follower": "A09", "lag": 1, "coupling": 0.5, "noise": 0.5}]',
+                "unknown asset 'A09'",
+            ),
+            ("postprocess", "data.base_period_minutes=true", "data.base_period_minutes must be a number"),
+            ("graphs", "seeds.data=x", "seeds.data: "),
+            ("fuse", "data.prices_dir=[1]", "data.prices_dir: "),
+            ("run-all", "synth.volatility=true", "synth.volatility must be a number"),
+        ],
+    )
+    def test_every_command_checks_the_whole_file_first(self, tmp_path, capsys, command, assignment, named):
+        """A bad value in any section stops every command with exit 3 before it writes anything."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"n_assets": 2, "days": 1}}))
+        code = main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "--set", assignment, command])
+        assert code == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_readme_lists_every_key_with_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = re.search(r"```jsonc\n(.*?)```", section, re.DOTALL).group(1)
+        assert json.loads(re.sub(r"//[^\n]*", "", block)) == default_config()
+
+    def test_report_records_the_parsed_config(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synth": {"n_assets": 2, "days": 1}}))
+        argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "--set", 'states="4"', "synth"]
+        assert main(argv) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        expected = default_config()
+        expected["states"] = 4
+        expected["synth"].update(n_assets=2, days=1)
+        assert report["effective_config"] == expected
+        assert report["seeds"] == expected["seeds"]
 
 
 class TestCliDispatch:
@@ -336,7 +376,7 @@ class TestCliDispatch:
         root, config_path = workspace
         out = root / "equiv"
         assert main(["--config", str(config_path), "--out", str(out), "--quiet", "run-all"]) == EXIT_OK
-        config = build_run_config(load_config(config_path))
+        config = load_config(config_path)
         result = run_dynamic_fusion(config, load_prices(sorted((root / "prices").glob("*.csv"))))
         written = {(g.spec.tag, g.window_end): g for g in load_graph_artifacts(out / "graphs")}
         assert sorted(written) == sorted((g.spec.tag, g.window_end) for g in result.graphs)

@@ -16,7 +16,7 @@ from leadlag_fuse.infotheory import (
     mutual_information_bits,
     significance_threshold,
 )
-from leadlag_fuse.infotheory import test_link as link_significant
+from leadlag_fuse.leadlag import validate_links
 
 # value computed once with mi_bits_oracle on the contingency table below
 INTERLEAVED_COUNTS = [[2, 1, 0, 1], [0, 3, 1, 0], [1, 0, 2, 1], [1, 0, 1, 2]]
@@ -311,9 +311,11 @@ class TestSignificance:
 
     def test_link_decisions(self):
         cfg = MiTestConfig(4, 4, 1440, 0.01, 4761)
-        assert not link_significant(0.0, cfg)
-        assert not link_significant(significance_threshold(cfg), cfg)  # acceptance is <=
-        assert link_significant(2.0, cfg)
+        threshold = significance_threshold(cfg)
+        mi = np.array([[2.0, 0.0, threshold], [threshold, 5.0, 2.0], [2.0, 0.0, 0.0]])
+        # a link needs MI strictly above the threshold; the diagonal is never one
+        expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])
+        assert np.array_equal(validate_links(mi, threshold), expected)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
