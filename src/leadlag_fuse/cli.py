@@ -79,7 +79,8 @@ def load_config(path: str | Path, assignments: Sequence[str] = ()) -> RunConfig:
 
     An assignment merges like a file holding ``{"a": {"b": v}}``; ``v`` is read
     as JSON, else as a string. Omitted keys take their defaults; an unknown
-    key, a value of the wrong type or a failed check raises ``ConfigError``.
+    key, a value of the wrong type or a failed check raises ``ConfigError``
+    naming the key or section at fault.
     """
     path = Path(path)
     if not path.exists():
@@ -105,12 +106,7 @@ def load_config(path: str | Path, assignments: Sequence[str] = ()) -> RunConfig:
     version = tree.pop("schema_version", CONFIG_SCHEMA_VERSION)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema_version {version}; expected {CONFIG_SCHEMA_VERSION}")
-    try:
-        return _from_tree(RunConfig, tree, "")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # a settings dataclass refused its values
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    return _from_tree(RunConfig, tree, "")
 
 
 def _from_tree(kind: Any, value: Any, path: str) -> Any:
@@ -121,6 +117,8 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
     go through ``int``, ``float`` or ``str`` (which refuses a list or an object);
     a number key refuses ``true`` and ``false``, which ``int`` would take as 1 and 0,
     and a string key refuses them too, which ``str`` would take as ``'True'``.
+    A settings dataclass that refuses its values is named by its path
+    (``specs.1: lag must be nonnegative, got -1``).
     """
     if is_dataclass(kind):
         if not isinstance(value, dict):
@@ -132,7 +130,12 @@ def _from_tree(kind: Any, value: Any, path: str) -> Any:
             if key not in hints:
                 raise ConfigError(f"unknown key in config: {here}")
             built[key] = _from_tree(hints[key], item, here)
-        return kind(**built)
+        try:
+            return kind(**built)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path or 'config'}: {exc}") from exc
     args = get_args(kind)
     if isinstance(kind, UnionType):
         if (value is None and NoneType in args) or (isinstance(value, str) and str in args):
@@ -234,14 +237,13 @@ def stage_graphs(out_dir: Path, config: RunConfig, panel: PricePanel | None = No
     }
     _update_report(out_dir, "graphs", payload, config)
     logger.info("built %d graphs over %d dates", len(graphs), len(usable_ends))
-    return graphs, usable_ends
+    return graphs
 
 
-def stage_fuse(out_dir: Path, config: RunConfig, graphs=None, usable_ends=None):
+def stage_fuse(out_dir: Path, config: RunConfig, graphs=None):
     if graphs is None:
         graphs = pipeline.load_graph_artifacts(out_dir / "graphs")
-        usable_ends = sorted({g.window_end for g in graphs})
-    model, report, frame = pipeline.fit(config, graphs, usable_ends)
+    model, report, frame = pipeline.fit(config, graphs)
     pipeline.write_embeddings_csv(frame, out_dir / "embeddings.csv")
     fusion.save_model(model, out_dir / "model.json")
     count = len(frame.window_ends) * len(frame.universe)
@@ -326,8 +328,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         stage_postprocess(out_dir, config)
     elif args.command == "run-all":
         panel = stage_ingest(out_dir, config, config_dir)
-        graphs, usable_ends = stage_graphs(out_dir, config, panel=panel, threads=args.threads)
-        frame = stage_fuse(out_dir, config, graphs=graphs, usable_ends=usable_ends)
+        graphs = stage_graphs(out_dir, config, panel=panel, threads=args.threads)
+        frame = stage_fuse(out_dir, config, graphs=graphs)
         stage_postprocess(out_dir, config, frame=frame)
     return EXIT_OK
 

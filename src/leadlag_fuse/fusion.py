@@ -47,8 +47,7 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FORMAT_VERSION = 2
-ENTRY_FORMAT_VERSION = 1  # of each MLP copy's entry in the model file
+MODEL_FORMAT_VERSION = 3
 _MODEL_DTYPES = {"float32": np.float32, "float64": np.float64}  # the precisions a model file may record
 
 
@@ -60,29 +59,30 @@ class ModelSettings:
     shared_dims: tuple[int, ...] = (30,)
     embedding_dim: int = 15
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "per_graph_dims", tuple(self.per_graph_dims))
+        object.__setattr__(self, "shared_dims", tuple(self.shared_dims))
+        if not self.per_graph_dims:
+            raise ValueError("per_graph_dims must not be empty")
+        if any(d < 1 for d in (*self.per_graph_dims, *self.shared_dims)):
+            raise ValueError(f"layer widths must be positive, got {self.per_graph_dims} and {self.shared_dims}")
+        if self.embedding_dim < 1:
+            raise ValueError(f"embedding_dim must be positive, got {self.embedding_dim}")
 
-@dataclass(frozen=True)
-class FusionArchitecture:
+
+@dataclass(frozen=True, kw_only=True)
+class FusionArchitecture(ModelSettings):
     """Layer plan: per-graph encoders, shared bottleneck, mirrored decoders."""
 
     graph_count: int
     input_dim: int
-    per_graph_dims: tuple[int, ...] = ModelSettings.per_graph_dims
-    shared_dims: tuple[int, ...] = ModelSettings.shared_dims
-    embedding_dim: int = ModelSettings.embedding_dim
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "per_graph_dims", tuple(self.per_graph_dims))
-        object.__setattr__(self, "shared_dims", tuple(self.shared_dims))
+        super().__post_init__()
         if self.graph_count < 1:
             raise ValueError(f"graph_count must be positive, got {self.graph_count}")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be positive, got {self.input_dim}")
-        if not self.per_graph_dims:
-            raise ValueError("per_graph_dims must not be empty")
-        dims = (*self.per_graph_dims, *self.shared_dims, self.embedding_dim)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"all dims must be positive, got {dims}")
 
     @property
     def per_graph_out(self) -> int:
@@ -110,6 +110,18 @@ class TrainingSettings:
     patience: int | None = 20
     min_delta: float = 1e-6
     validation_fraction: float = 0.3
+
+    def __post_init__(self) -> None:
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must be nonnegative, got {self.patience}")
+        if not self.min_delta >= 0.0:
+            raise ValueError(f"min_delta must be nonnegative, got {self.min_delta}")
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ValueError(f"validation_fraction must lie in [0, 1), got {self.validation_fraction}")
 
 
 @dataclass
@@ -307,8 +319,6 @@ def train(
     x = _check_samples(model, samples)
     validation_fraction = settings.validation_fraction
     m = x.shape[1]
-    if not 0.0 <= validation_fraction < 1.0:
-        raise ValueError(f"validation_fraction must lie in [0, 1), got {validation_fraction}")
     if validation_fraction > 0.0 and m < 10:
         raise ValueError(f"need at least 10 samples for a validation split, got {m}")
 
@@ -407,29 +417,13 @@ def extract_embeddings(
     return EmbeddingFrame(universe, window_ends, model.encode_batch(x).reshape(len(window_ends), n, -1))
 
 
-def _entries(mlp: Mlp) -> list[dict]:
-    """One checkpoint entry per stacked copy of ``mlp``, each with its row-major (out, in) weights."""
-    return [
-        {
-            "format_version": ENTRY_FORMAT_VERSION,
-            "dims": list(mlp.dims),
-            "activations": [layer.activation for layer in mlp.layers],
-            "weights": [layer.weight[c].ravel().tolist() for layer in mlp.layers],
-            "biases": [layer.bias[c].tolist() for layer in mlp.layers],
-        }
-        for c in range(mlp.count)
-    ]
-
-
 def save_model(model: FusionModel, path: str | Path) -> None:
+    """Write ``model`` as its architecture plus ``params``, laid out as ``neural.layer_views`` lays it out."""
     payload = {
         "format_version": MODEL_FORMAT_VERSION,
         "dtype": model.params.dtype.name,
         "architecture": asdict(model.architecture),
-        "graph_encoders": _entries(model.graph_encoder),
-        "shared_encoder": _entries(model.shared_encoder)[0],
-        "shared_decoder": _entries(model.shared_decoder)[0],
-        "graph_decoders": _entries(model.graph_decoder),
+        "params": model.params.tolist(),
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -440,30 +434,30 @@ def save_model(model: FusionModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FusionModel:
-    """The model of a ``save_model`` file, in the stored dtype.
-
-    Each checked entry is written straight into ``params``.
-    """
+    """The model of a ``save_model`` file, in the stored dtype; any refusal is a ``ValueError`` naming the file."""
     name = Path(path).name
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{name}: not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name}: expected a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{name}: unsupported model format version {payload.get('format_version')!r}")
     dtype = _MODEL_DTYPES.get(payload.get("dtype"))
     if dtype is None:
         raise ValueError(f"{name}: unsupported dtype {payload.get('dtype')!r}; expected one of {sorted(_MODEL_DTYPES)}")
-    model = FusionModel(FusionArchitecture(**payload["architecture"]), seed=0, dtype=dtype)
-    for mlp, key in zip(model._mlps(), ("graph_encoders", "shared_encoder", "shared_decoder", "graph_decoders")):
-        entries = payload[key] if key.startswith("graph") else [payload[key]]
-        plan = (list(mlp.dims), [layer.activation for layer in mlp.layers])
-        if any(entry.get("format_version") != ENTRY_FORMAT_VERSION for entry in entries):
-            raise ValueError(f"unsupported format version of a {key} entry")
-        if len(entries) != mlp.count or any((entry["dims"], entry["activations"]) != plan for entry in entries):
-            raise ValueError(f"saved {key} do not match the architecture's {mlp.count} copies of {plan}")
-        for c, entry in enumerate(entries):
-            for layer, weight, bias in zip(mlp.layers, entry["weights"], entry["biases"], strict=True):
-                layer.weight[c] = np.reshape(weight, layer.weight.shape[1:])
-                layer.bias[c] = np.reshape(bias, layer.bias.shape[1:])
-    if not np.all(np.isfinite(model.params)):
+    try:
+        model = FusionModel(FusionArchitecture(**payload["architecture"]), dtype=dtype)
+        stored = np.array(payload["params"], dtype=dtype)
+    except KeyError as exc:
+        raise ValueError(f"{name}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
+    if stored.shape != model.params.shape:
+        raise ValueError(f"{name}: {stored.size} stored parameters, the architecture has {model.params.size}")
+    if not np.all(np.isfinite(stored)):
         raise ValueError(f"{name}: stored parameters must be finite")
+    model.params[:] = stored
     return model

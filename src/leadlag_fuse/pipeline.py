@@ -180,7 +180,6 @@ class RunResult:
     frame: EmbeddingFrame
     graphs: list[LeadLagGraph]
     train_report: TrainReport
-    usable_ends: list[int]
     skips: list[dict]
     flags: list[dict]
 
@@ -305,22 +304,22 @@ def samples_from_graphs(
     return samples
 
 
-def fit(
-    config: RunConfig, graphs: Sequence[LeadLagGraph], usable_ends: Sequence[int]
-) -> tuple[FusionModel, TrainReport, EmbeddingFrame]:
+def fit(config: RunConfig, graphs: Sequence[LeadLagGraph]) -> tuple[FusionModel, TrainReport, EmbeddingFrame]:
     """Train one float32 fusion model over every (asset, date) sample and embed every sample.
 
-    The report also carries the model's fit quality over all samples:
+    The dates are the graphs' window ends, increasing; every spec needs a
+    graph at each of them. The report also carries the model's fit quality over all samples:
     ``explained_share`` and ``one_hot_row_share``.
     """
-    samples = samples_from_graphs(graphs, config.specs, usable_ends, config.rwr)
+    window_ends = sorted({g.window_end for g in graphs})
+    samples = samples_from_graphs(graphs, config.specs, window_ends, config.rwr)
     universe = graphs[0].assets
     arch = FusionArchitecture(graph_count=len(config.specs), input_dim=len(universe), **asdict(config.model))
     # float32 halves the fit's time and keeps the fixture's claims (README, "Precision");
     # FusionModel's float64 default is the reference the gradient checks run on
     model = FusionModel(arch, seed=config.seeds.init, dtype=np.float32)
     report = fusion.train(model, samples, config.seeds.split, config.training)
-    frame = fusion.extract_embeddings(model, samples, universe, usable_ends)
+    frame = fusion.extract_embeddings(model, samples, universe, window_ends)
     report.explained_share = _explained_share(model, samples, config.specs)
     report.one_hot_row_share = _one_hot_row_share(samples)
     return model, report, frame
@@ -362,11 +361,9 @@ def run_dynamic_fusion(config: RunConfig, panel: PricePanel, threads: int = 1) -
     the CLI uses, e.g. ``fusion.save_model(result.model, path)`` and
     ``write_embeddings_csv(result.frame, path)``.
     """
-    graphs, usable_ends, skips, flags = build_graphs(config, panel, threads=threads)
-    model, report, frame = fit(config, graphs, usable_ends)
-    return RunResult(
-        model=model, frame=frame, graphs=graphs, train_report=report, usable_ends=usable_ends, skips=skips, flags=flags
-    )
+    graphs, _, skips, flags = build_graphs(config, panel, threads=threads)
+    model, report, frame = fit(config, graphs)
+    return RunResult(model=model, frame=frame, graphs=graphs, train_report=report, skips=skips, flags=flags)
 
 
 # --- similarity ----------------------------------------------------------------

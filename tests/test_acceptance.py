@@ -333,7 +333,7 @@ def test_fixture_artifacts_digest(fixture_run):
         if rel != "report.json":
             digest.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
     assert len(files) == 410
-    assert digest.hexdigest() == "f6fdb479489005c43a4ab786482162cb1fd6c0bfa501af6593e000b623e61f38"
+    assert digest.hexdigest() == "674867dcc2a060413a670f053f2ddfca63bab09b8dd605b093ddaebf61ba4150"
 
 
 def test_crit_12_pca():

@@ -294,6 +294,11 @@ class TestConfigHandling:
             ("graphs", "seeds.data=x", "seeds.data: "),
             ("fuse", "data.prices_dir=[1]", "data.prices_dir: "),
             ("run-all", "synth.volatility=true", "synth.volatility must be a number"),
+            ("run-all", "training.validation_fraction=1.5", "training: validation_fraction must lie in [0, 1)"),
+            ("fuse", "training.max_epochs=0", "training: max_epochs must be at least 1"),
+            ("run-all", "training.learning_rate=-1", "training: learning_rate must be finite and positive"),
+            ("synth", "model.embedding_dim=0", "model: embedding_dim must be positive"),
+            ("graphs", "model.per_graph_dims=[]", "model: per_graph_dims must not be empty"),
         ],
     )
     def test_every_command_checks_the_whole_file_first(self, tmp_path, capsys, command, assignment, named):
@@ -304,6 +309,28 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ('specs=[{"period_minutes": 1, "lag": 0}, {"period_minutes": 1, "lag": -1}]', "specs.1: lag must be nonnegative, got -1"),
+            (
+                'synth.couplings=[{"leader": "A00", "follower": "A01", "lag": -2, "coupling": 0.5, "noise": 0.5}]',
+                "synth.couplings.0: lag must be nonnegative, got -2",
+            ),
+            ("rwr.restart_keep=1.5", "rwr: restart_keep must lie in [0, 1), got 1.5"),
+            ("model.shared_dims=[30, 0]", "model: layer widths must be positive, got (25, 10) and (30, 0)"),
+            ("training.patience=-1", "training: patience must be nonnegative, got -1"),
+            ("training.min_delta=-0.1", "training: min_delta must be nonnegative, got -0.1"),
+            ("training.learning_rate=NaN", "training: learning_rate must be finite and positive, got nan"),
+            # a check that already raises ConfigError keeps its own message: one prefix, never two
+            ("states=1", "states must be at least 2, got 1"),
+        ],
+    )
+    def test_refused_settings_name_their_key_path(self, tmp_path, assignment, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse(tmp_path, [assignment])
+        assert str(excinfo.value) == message
 
     def test_readme_lists_every_key_with_its_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

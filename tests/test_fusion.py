@@ -1,6 +1,6 @@
 import json
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -59,6 +59,54 @@ class TestArchitecture:
             FusionArchitecture(graph_count=0, input_dim=5)
         with pytest.raises(ValueError):
             FusionArchitecture(graph_count=2, input_dim=5, per_graph_dims=())
+
+    def test_architecture_is_the_model_settings_plus_its_data_shape(self):
+        names = lambda kind: [f.name for f in fields(kind)]
+        assert issubclass(FusionArchitecture, ModelSettings)
+        assert names(FusionArchitecture) == [*names(ModelSettings), "graph_count", "input_dim"]
+        settings = ModelSettings(per_graph_dims=[6, 4], shared_dims=[5], embedding_dim=3)
+        assert settings.per_graph_dims == (6, 4) and settings.shared_dims == (5,)
+        arch = FusionArchitecture(graph_count=2, input_dim=7, **asdict(settings))
+        assert ModelSettings(**{name: getattr(arch, name) for name in names(ModelSettings)}) == settings
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"per_graph_dims": ()}, "per_graph_dims must not be empty"),
+            ({"per_graph_dims": (25, 0)}, r"layer widths must be positive, got \(25, 0\) and \(30,\)"),
+            ({"shared_dims": (-1,)}, r"layer widths must be positive, got \(25, 10\) and \(-1,\)"),
+            ({"embedding_dim": 0}, "embedding_dim must be positive, got 0"),
+        ],
+    )
+    def test_model_settings_check_their_widths(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSettings(**values)
+        with pytest.raises(ValueError, match=message):
+            FusionArchitecture(graph_count=2, input_dim=5, **values)
+
+
+class TestTrainingSettings:
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"max_epochs": 0}, "max_epochs must be at least 1, got 0"),
+            ({"learning_rate": -1.0}, "learning_rate must be finite and positive"),
+            ({"learning_rate": 0.0}, "learning_rate must be finite and positive"),
+            ({"learning_rate": float("inf")}, "learning_rate must be finite and positive"),
+            ({"learning_rate": float("nan")}, "learning_rate must be finite and positive"),
+            ({"min_delta": -1e-9}, "min_delta must be nonnegative"),
+            ({"patience": -1}, "patience must be nonnegative"),
+            ({"validation_fraction": 1.0}, r"validation_fraction must lie in \[0, 1\), got 1.0"),
+            ({"validation_fraction": -0.1}, r"validation_fraction must lie in \[0, 1\)"),
+        ],
+    )
+    def test_out_of_range_settings_refused(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            TrainingSettings(**values)
+
+    def test_edge_values_accepted(self):
+        TrainingSettings(max_epochs=1, patience=0, min_delta=0.0, validation_fraction=0.0)
+        TrainingSettings(patience=None)
 
 
 class TestEncodeDecode:
@@ -413,21 +461,15 @@ class TestEmbeddings:
             fh.write("\n")
         assert (tmp_path / "streamed.json").read_text(encoding="utf-8") == text
 
-    @pytest.mark.parametrize("edit", ["input_dim", "extra_encoder", "entry_dims", "activations"])
+    @pytest.mark.parametrize("edit", ["input_dim"])
     def test_checkpoint_layers_must_match_architecture(self, tmp_path, edit):
         arch = FusionArchitecture(graph_count=2, input_dim=6, per_graph_dims=(4, 3), shared_dims=(4,), embedding_dim=3)
         save_model(FusionModel(arch, seed=22), tmp_path / "model.json")
         payload = json.loads((tmp_path / "model.json").read_text())
-        if edit == "input_dim":
-            payload["architecture"]["input_dim"] = 5
-        elif edit == "extra_encoder":
-            payload["graph_encoders"].append(payload["graph_encoders"][0])
-        elif edit == "entry_dims":
-            payload["graph_decoders"][1]["dims"][-1] = 5
-        else:
-            payload["shared_encoder"]["activations"][0] = "identity"
+        payload["architecture"][edit] = 5
         (tmp_path / "model.json").write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="do not match"):
+        # one input column fewer: each of the 2 graphs loses 4 encoder weights, 4 decoder weights and 1 bias
+        with pytest.raises(ValueError, match="model.json: 267 stored parameters, the architecture has 249"):
             load_model(tmp_path / "model.json")
 
     def test_frame_validation(self):
@@ -472,9 +514,11 @@ class TestCheckpoint:
             ({"dtype": "float16"}, "unsupported dtype 'float16'"),
             ({"dtype": None}, "unsupported dtype None"),
             ({"format_version": 1}, "unsupported model format version 1"),
+            ({"format_version": 2}, "unsupported model format version 2"),
         ],
     )
     def test_unknown_dtype_and_version_1_files_refused(self, tmp_path, edit, message):
+        """Version-1 files (no dtype) and version-2 files (one entry per MLP copy) are refused."""
         payload = self.saved_payload(tmp_path)
         payload.update(edit)
         if edit == {"format_version": 1}:
@@ -483,28 +527,60 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"old.json: {message}"):
             load_model(tmp_path / "old.json")
 
+    def test_file_is_the_architecture_and_one_parameter_vector(self, tmp_path):
+        model = FusionModel(TINY, seed=23)
+        payload = self.saved_payload(tmp_path)
+        assert list(payload) == ["format_version", "dtype", "architecture", "params"]
+        assert (payload["format_version"], payload["dtype"]) == (3, "float64")
+        assert payload["architecture"] == json.loads(json.dumps(asdict(TINY)))
+        assert payload["params"] == model.params.tolist()
+        # in layer_views order: the first graph encoder's weight stack comes first, its copy 0 first
+        first = model.graph_encoder.layers[0].weight
+        assert payload["params"][: first.size] == first.ravel().tolist()
+
     def test_version_checked(self, tmp_path):
-        for edit in ("file", "entry"):
-            payload = self.saved_payload(tmp_path)
-            if edit == "file":
-                payload["format_version"] = 99
-            else:
-                payload["graph_decoders"][0]["format_version"] = 99
-            (tmp_path / "model.json").write_text(json.dumps(payload))
-            with pytest.raises(ValueError, match="version"):
-                load_model(tmp_path / "model.json")
+        payload = self.saved_payload(tmp_path)
+        payload["format_version"] = 99
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="version"):
+            load_model(tmp_path / "model.json")
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_value_rejected(self, tmp_path, value):
         payload = self.saved_payload(tmp_path)
-        payload["shared_decoder"]["biases"][0][1] = value
+        payload["params"][7] = value
         (tmp_path / "model.json").write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="model.json: stored parameters must be finite"):
             load_model(tmp_path / "model.json")
 
     def test_entry_of_the_wrong_size_rejected(self, tmp_path):
         payload = self.saved_payload(tmp_path)
-        payload["graph_encoders"][1]["weights"][0].pop()
+        size = len(payload["params"])
+        payload["params"].pop()
         (tmp_path / "model.json").write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="reshape"):
+        with pytest.raises(ValueError, match=f"model.json: {size - 1} stored parameters, the architecture has {size}"):
+            load_model(tmp_path / "model.json")
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda payload: payload.pop("params"), "missing key 'params'"),
+            (lambda payload: payload.pop("architecture"), "missing key 'architecture'"),
+            (lambda payload: payload["params"].__setitem__(3, "x"), "could not convert string to float"),
+            (lambda payload: payload["architecture"].update(embedding_dim=0), "embedding_dim must be positive"),
+            (lambda payload: payload["architecture"].update(depth=2), "unexpected keyword argument 'depth'"),
+        ],
+        ids=["no-params", "no-architecture", "non-numeric", "bad-architecture", "unknown-architecture-key"],
+    )
+    def test_malformed_file_refused_naming_it(self, tmp_path, edit, message):
+        payload = self.saved_payload(tmp_path)
+        edit(payload)
+        (tmp_path / "model.json").write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^model.json: .*{message}"):
+            load_model(tmp_path / "model.json")
+
+    @pytest.mark.parametrize("text, message", [("[1.0, 2.0]", "expected a JSON object"), ('{"params": [', "not valid JSON")])
+    def test_non_object_file_refused(self, tmp_path, text, message):
+        (tmp_path / "model.json").write_text(text)
+        with pytest.raises(ValueError, match=f"^model.json: {message}"):
             load_model(tmp_path / "model.json")

@@ -118,6 +118,15 @@ class TestWindowing:
         assert result.model.architecture.graph_count == 1
         assert result.model.architecture.input_dim == 2
 
+    def test_fit_takes_its_dates_from_the_graphs(self):
+        panel = tiny_panel(rows=60, assets=3)
+        config = tiny_config(panel, n_dates=3)
+        graphs, usable_ends, _, _ = build_graphs(config, panel)
+        _, _, frame = fit(config, graphs)
+        _, _, reordered = fit(config, graphs[::-1])  # the graphs' order does not matter
+        assert frame.window_ends == reordered.window_ends == tuple(usable_ends)
+        assert np.array_equal(frame.vectors, reordered.vectors)
+
     def test_sample_rows_are_date_major(self):
         panel = tiny_panel(rows=60, assets=3)
         config = tiny_config(panel, n_dates=3)
@@ -153,7 +162,7 @@ class TestWindowing:
         )
         with caplog.at_level(logging.WARNING):
             result = run_dynamic_fusion(config, panel)
-        assert result.usable_ends == [late]
+        assert result.frame.window_ends == (late,)
         assert len(result.skips) == 1
         assert "fewer than" in result.skips[0]["reason"]
 
@@ -236,9 +245,9 @@ class TestFusedEmbeddingsCarryThePlantedLink:
     @staticmethod
     def planted_pair_ranks(specs):
         result = run_dynamic_fusion(RunConfig(specs=specs), synthetic_panel(SyntheticSpec(), seed=7))
-        assert len(result.usable_ends) == 30
+        assert len(result.frame.window_ends) == 30
         ranks = []
-        for end in result.usable_ends:
+        for end in result.frame.window_ends:
             assets = result.frame.universe
             cos = similarity_matrix(result.frame, end)
             planted = cos[assets.index("A00"), assets.index("A01")]
@@ -260,7 +269,7 @@ class TestFloat32Fit:
         config = RunConfig()
         graphs, ends, _, _ = build_graphs(config, synthetic_panel(SyntheticSpec(), seed=7))
         samples = samples_from_graphs(graphs, config.specs, ends, config.rwr)
-        return config, samples, *fit(config, graphs, ends)
+        return config, samples, *fit(config, graphs)
 
     def test_model_round_trips_and_reproduces_the_embeddings(self, fixture_fit, tmp_path):
         _, samples, model, _, frame = fixture_fit
