@@ -136,6 +136,8 @@ class TrainReport:
     stop_reason: str = "max_epochs"
     best_epoch: int = 0
     best_val_loss: float | None = None
+    # share of validation rows with an exact copy among the training rows; None without a split
+    validation_copy_share: float | None = None
     # how well the final model fits all samples; set by pipeline.fit, which knows their layout
     explained_share: dict | None = None
     one_hot_row_share: float | None = None
@@ -314,7 +316,8 @@ def train(
     improved by at least ``min_delta`` for ``patience`` consecutive epochs;
     the parameters of the best validation epoch are restored.
     ``validation_fraction=0`` trains on all samples with no early stopping
-    (for capacity checks).
+    (for capacity checks). The report's ``validation_copy_share`` is the
+    share of validation rows that repeat a training row exactly, in every graph.
     """
     x = _check_samples(model, samples)
     validation_fraction = settings.validation_fraction
@@ -336,6 +339,10 @@ def train(
         split_seed=split_seed,
         config={**asdict(settings), "n_samples": m, "n_train": int(m - n_val), "n_val": int(n_val)},
     )
+    if n_val:
+        rows = np.moveaxis(x, 1, 0).reshape(m, -1)  # one row per sample, all graphs side by side
+        seen = {rows[i].tobytes() for i in train_idx}
+        report.validation_copy_share = float(np.mean([rows[i].tobytes() in seen for i in val_idx]))
 
     params = model.params
     optimizer = adam_init(params, learning_rate=settings.learning_rate)

@@ -6,9 +6,15 @@ bits), and estimated values are tested against the Gamma approximation of
 the null distribution of plug-in MI between independent discrete variables:
 
     MI_null ~ Gamma(alpha=(Sx - 1)(Sy - 1) / 2, beta=1 / (N ln 2))
+            = chi2(nu=(Sx - 1)(Sy - 1)) / (2 N ln 2)
 
 with N the sample size. Multiple testing is handled with a Bonferroni
 correction: each link is tested at level p / m.
+
+The degrees of freedom nu are a whole number, so the chi-square tail is a
+finite sum in closed form, and the threshold is its upper p / m point,
+found by bisection. ``gamma_cdf`` and ``gamma_quantile`` read the same two
+functions and accept the shapes that form: positive multiples of 1/2.
 """
 
 from __future__ import annotations
@@ -24,154 +30,68 @@ __all__ = [
     "MiTestConfig",
     "discretize_equal_frequency",
     "mutual_information_bits",
-    "log_gamma",
     "gamma_cdf",
     "gamma_quantile",
     "significance_threshold",
 ]
 
-# Lanczos approximation, g=7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X ~ chi-square with an integer number ``dof`` >= 1 of degrees of freedom.
+
+    With t = x / 2 the tail is a finite sum (Abramowitz & Stegun 26.4.4-5):
+    e^-t * sum_{j < dof/2} t^j / j! for even ``dof``, and erfc(sqrt(t)) plus
+    e^-t * sum of t^j / Gamma(j + 1) over j = 1/2, 3/2, ..., (dof - 2)/2 for
+    odd ``dof``. Each term is formed in log space, so none underflows where
+    e^-t alone would.
+    """
+    t = 0.5 * x
+    if t <= 0.0:
+        return 1.0
+    if t == math.inf:
+        return 0.0
+    log_t, half = math.log(t), 0.5 * (dof % 2)
+    terms = (math.exp((half + i) * log_t - math.lgamma(half + i + 1.0) - t) for i in range(dof // 2))
+    return (math.erfc(math.sqrt(t)) if half else 0.0) + math.fsum(terms)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0 (Lanczos, g=7)."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # Reflection keeps the Lanczos series in its accurate range.
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _LN_SQRT_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
+def _chi2_isf(q: float, dof: int) -> float:
+    """The smallest float x with ``_chi2_sf(x, dof) <= q``, for a tail ``q`` in (0, 1), by bisection.
+
+    The bracket doubles up from ``dof`` until it holds the root, then halves
+    until its ends are adjacent floats.
+    """
+    lo, hi = 0.0, float(dof)
+    while _chi2_sf(hi, dof) > q:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _chi2_sf(mid, dof) > q:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
-def _lower_series(a: float, s: float, eps: float = 1e-16, itmax: int = 1000) -> float:
-    # Power series for the regularized lower incomplete gamma, s < a + 1.
-    term = 1.0 / a
-    total = term
-    ap = a
-    for _ in range(itmax):
-        ap += 1.0
-        term *= s / ap
-        total += term
-        if abs(term) < abs(total) * eps:
-            return total * math.exp(-s + a * math.log(s) - log_gamma(a))
-    raise RuntimeError(f"incomplete gamma series failed to converge (a={a}, s={s})")
-
-
-def _upper_continued_fraction(a: float, s: float, eps: float = 1e-16, itmax: int = 1000) -> float:
-    # Modified Lentz continued fraction for the regularized upper tail, s >= a + 1.
-    tiny = 1e-300
-    b = s + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, itmax + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h * math.exp(-s + a * math.log(s) - log_gamma(a))
-    raise RuntimeError(f"incomplete gamma continued fraction failed to converge (a={a}, s={s})")
+def _gamma_dof(alpha: float, beta: float) -> int:
+    """2 * alpha: Gamma(alpha, beta) is beta / 2 times a chi-square with that many degrees of freedom."""
+    dof = 2.0 * alpha
+    if not (dof >= 1.0 and dof.is_integer() and beta > 0.0):
+        raise ValueError(f"Gamma shape must be a positive multiple of 1/2 and scale positive, got ({alpha}, {beta})")
+    return int(dof)
 
 
 def gamma_cdf(x: float, alpha: float, beta: float) -> float:
-    """CDF of Gamma(shape=alpha, scale=beta) at x, i.e. P(alpha, x / beta).
-
-    Series expansion below the x/beta = alpha + 1 split, continued fraction
-    above it; absolute error well under 1e-10 across the tested range.
-    """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError(f"gamma_cdf requires alpha > 0 and beta > 0, got ({alpha}, {beta})")
+    """CDF of Gamma(shape=alpha, scale=beta) at x, for a shape that is a positive multiple of 1/2."""
     if x < 0.0:
         raise ValueError(f"gamma_cdf requires x >= 0, got {x}")
-    s = x / beta
-    if s == 0.0:
-        return 0.0
-    if s < alpha + 1.0:
-        return _lower_series(alpha, s)
-    return 1.0 - _upper_continued_fraction(alpha, s)
+    return 1.0 - _chi2_sf(2.0 * x / beta, _gamma_dof(alpha, beta))
 
 
-def _gamma_pdf(x: float, alpha: float, beta: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    log_pdf = (alpha - 1.0) * math.log(x) - x / beta - log_gamma(alpha) - alpha * math.log(beta)
-    return math.exp(log_pdf) if log_pdf > -700.0 else 0.0
-
-
-def gamma_quantile(q: float, alpha: float, beta: float, max_iter: int = 300) -> float:
-    """Inverse of ``gamma_cdf`` in x: the q-quantile of Gamma(alpha, beta).
-
-    Brackets the root, then iterates safeguarded Newton steps with bisection
-    whenever a Newton candidate leaves the bracket, until the bracket narrows
-    to a relative width of 1e-15. The returned x satisfies gamma_cdf(x) = q
-    far inside the 1e-10 tolerance wherever q is representable.
-    """
+def gamma_quantile(q: float, alpha: float, beta: float) -> float:
+    """The q-quantile of Gamma(alpha, beta), solved on the tail 1 - q: a q below ~1e-16 reads as 0."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"gamma_quantile requires q in (0, 1), got {q}")
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError(f"gamma_quantile requires alpha > 0 and beta > 0, got ({alpha}, {beta})")
-
-    lo = 0.0
-    hi = alpha * beta  # start at the mean, expand upward
-    f_hi = gamma_cdf(hi, alpha, beta)
-    expansions = 0
-    while f_hi < q:
-        lo = hi
-        hi *= 2.0
-        f_hi = gamma_cdf(hi, alpha, beta)
-        expansions += 1
-        if expansions > 400:
-            raise RuntimeError(f"gamma_quantile bracket expansion failed (q={q}, alpha={alpha}, beta={beta})")
-
-    x = 0.5 * (lo + hi)
-    f = f_hi
-    for _ in range(max_iter):
-        f = gamma_cdf(x, alpha, beta)
-        if f == q:
-            return x
-        if f < q:
-            lo = x
-        else:
-            hi = x
-        if hi - lo <= 1e-15 * hi:
-            return 0.5 * (lo + hi)
-        pdf = _gamma_pdf(x, alpha, beta)
-        if pdf > 0.0:
-            candidate = x - (f - q) / pdf
-            if lo < candidate < hi:
-                x = candidate
-                continue
-        x = 0.5 * (lo + hi)
-    raise RuntimeError(
-        "gamma_quantile did not converge: "
-        f"q={q}, alpha={alpha}, beta={beta}, bracket=({lo}, {hi}), last cdf={f}"
-    )
+    return 0.5 * beta * _chi2_isf(1.0 - q, _gamma_dof(alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -307,11 +227,12 @@ class MiTestConfig:
 
 @functools.lru_cache(maxsize=256)
 def significance_threshold(cfg: MiTestConfig) -> float:
-    """MI acceptance threshold in bits for the Gamma null at the corrected level.
+    """MI acceptance threshold in bits: the upper ``corrected_p`` point of the null.
 
-    Cached per config: every graph of one spec shares its threshold, and the
-    Gamma-quantile solve is the costly part.
+    That is the chi-square point over 2 N ln 2, solved on the tail
+    ``corrected_p`` itself: 1 - corrected_p would round away the level's last
+    digits. Cached per config: every graph of one spec shares its threshold,
+    and the bisection is the costly part.
     """
-    alpha = (cfg.states_x - 1) * (cfg.states_y - 1) / 2.0
-    beta = 1.0 / (cfg.sample_size * math.log(2.0))
-    return gamma_quantile(1.0 - cfg.corrected_p, alpha, beta)
+    dof = (cfg.states_x - 1) * (cfg.states_y - 1)
+    return _chi2_isf(cfg.corrected_p, dof) / (2.0 * cfg.sample_size * math.log(2.0))

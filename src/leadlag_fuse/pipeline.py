@@ -91,6 +91,10 @@ class DataSettings:
     prices_dir: str = "prices"
     base_period_minutes: int = 1
 
+    def __post_init__(self) -> None:
+        if self.base_period_minutes < 1:
+            raise ValueError(f"base_period_minutes must be positive, got {self.base_period_minutes}")
+
 
 @dataclass(frozen=True)
 class Seeds:
@@ -138,7 +142,12 @@ class RunConfig:
             raise ConfigError(f"uncorrected_p must lie in (0, 1), got {self.uncorrected_p}")
         if self.pca_components < 1:
             raise ConfigError(f"pca_components must be positive, got {self.pca_components}")
+        base = self.data.base_period_minutes
         for spec in self.specs:
+            if spec.period_minutes % base != 0:
+                raise ConfigError(
+                    f"spec {spec.tag}: period {spec.period_minutes} is not a multiple of data.base_period_minutes {base}"
+                )
             rows = self.window_rows(spec)
             if rows - spec.lag < self.states:
                 raise ConfigError(

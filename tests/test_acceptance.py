@@ -323,17 +323,26 @@ def test_fixture_artifacts_digest(fixture_run):
     ``report.json`` (timings) skipped. The value is specific to numpy 2.4.6
     with scipy-openblas 0.3.31; another BLAS or numpy may round the matrix
     products differently. A change that is meant to alter the artifacts
-    updates the value and says why.
+    updates the value and says why. The second digest also leaves out the
+    graph sidecars, whose ``threshold_bits`` records the threshold to its
+    last bit, so it pins the edge lists and everything built from them
+    whatever the last bits of the threshold solve.
     """
     run1 = fixture_run["run1"]
-    digest = hashlib.sha256()
     files = sorted(p for p in run1.rglob("*") if p.is_file())
-    for path in files:
-        rel = path.relative_to(run1).as_posix()
-        if rel != "report.json":
-            digest.update(rel.encode() + b"\0" + path.read_bytes() + b"\0")
     assert len(files) == 410
-    assert digest.hexdigest() == "674867dcc2a060413a670f053f2ddfca63bab09b8dd605b093ddaebf61ba4150"
+
+    def digest(paths):
+        sha = hashlib.sha256()
+        for path in paths:
+            sha.update(path.relative_to(run1).as_posix().encode() + b"\0" + path.read_bytes() + b"\0")
+        return sha.hexdigest()
+
+    hashed = [p for p in files if p.relative_to(run1).as_posix() != "report.json"]
+    assert digest(hashed) == "5df70e8b67c57f6a3e372b27283036044bed2f3ba70c09fc63a72d56701cc5e7"
+    without_sidecars = [p for p in hashed if not p.match("graphs/*/*.json")]
+    assert len(without_sidecars) == 229
+    assert digest(without_sidecars) == "fa0b471adb187f1983daeff31e559cf0160249f0a72d1405a786b5d21ce95fd2"
 
 
 def test_crit_12_pca():

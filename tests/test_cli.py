@@ -154,7 +154,7 @@ class TestConfigHandling:
 
     def test_every_field_round_trips_through_the_config_tree(self, tmp_path):
         run = RunConfig(
-            specs=(LagSpec(2, 1, window_rows=50), LagSpec(3, 0)),
+            specs=(LagSpec(6, 1, window_rows=50), LagSpec(3, 0)),
             window_minutes=60,
             window_ends=(60_000, 120_000),
             states=3,
@@ -167,7 +167,7 @@ class TestConfigHandling:
             seeds=Seeds(data=21, split=3, init=4),
             pca_components=3,
             similarity_pairs=(("X00", "X01"), ("X02", "X03")),
-            data=DataSettings(prices_dir="elsewhere", base_period_minutes=5),
+            data=DataSettings(prices_dir="elsewhere", base_period_minutes=3),
             synth=SyntheticSpec(
                 n_assets=5,
                 days=2,
@@ -299,6 +299,10 @@ class TestConfigHandling:
             ("run-all", "training.learning_rate=-1", "training: learning_rate must be finite and positive"),
             ("synth", "model.embedding_dim=0", "model: embedding_dim must be positive"),
             ("graphs", "model.per_graph_dims=[]", "model: per_graph_dims must not be empty"),
+            ("ingest", "data.base_period_minutes=0", "data: base_period_minutes must be positive, got 0"),
+            ("run-all", "data.base_period_minutes=-5", "data: base_period_minutes must be positive, got -5"),
+            ("ingest", "data.base_period_minutes=5", "spec d1_T0: period 1 is not a multiple of data.base_period_minutes 5"),
+            ("fuse", "data.base_period_minutes=2", "spec d1_T0: period 1 is not a multiple of data.base_period_minutes 2"),
         ],
     )
     def test_every_command_checks_the_whole_file_first(self, tmp_path, capsys, command, assignment, named):
@@ -377,6 +381,7 @@ class TestCliDispatch:
         assert sorted(training["explained_share"]["per_graph"]) == ["d1_T0", "d1_T1", "d1_T2", "d5_T0", "d5_T1", "d5_T2"]
         assert training["explained_share"]["overall"] < 1.0
         assert 0.0 <= training["one_hot_row_share"] <= 1.0
+        assert 0.0 <= training["validation_copy_share"] <= 1.0
         assert json.loads((out / "model.json").read_text())["dtype"] == "float32"
 
     def test_graphs_stage_idempotent(self, workspace):

@@ -364,6 +364,7 @@ class TestTrain:
         )
         assert min(report.train_losses) < 1e-3
         assert report.val_losses == []
+        assert report.validation_copy_share is None
 
     def test_early_stopping_restores_best(self):
         rng = np.random.default_rng(13)
@@ -381,6 +382,17 @@ class TestTrain:
         perm = np.random.default_rng(3).permutation(samples.shape[1])
         val_rows = samples[:, perm[samples.shape[1] - report.config["n_val"] :]]
         assert model.reconstruction_loss(val_rows) == report.best_val_loss
+
+    def test_validation_copy_share_counts_exact_copies_across_all_graphs(self):
+        half = make_samples(np.random.default_rng(16), 10)
+        samples = np.concatenate([half, half], axis=1)  # row r + 10 copies row r
+        samples[1, 19] += 1.0  # ... except that row 19 differs from row 9 in the second graph
+        report = train(FusionModel(TINY, seed=16), samples, 5, TrainingSettings(max_epochs=1))
+        perm = np.random.default_rng(5).permutation(20)
+        train_rows, val_rows = set(perm[:14].tolist()), perm[14:].tolist()
+        copied = [(v + 10) % 20 in train_rows and v not in (9, 19) for v in val_rows]
+        assert report.validation_copy_share == np.mean(copied)
+        assert 0.0 < report.validation_copy_share < 1.0
 
     def test_split_requires_ten_samples(self):
         model = FusionModel(TINY, seed=14)

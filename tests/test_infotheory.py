@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from oracles import discretize_reference, mi_bits_from_counts_reference, mi_bits_oracle
 from leadlag_fuse.infotheory import (
     DiscreteSeries,
     MiTestConfig,
+    _chi2_isf,
     _mi_bits_from_counts,
     discretize_equal_frequency,
     gamma_cdf,
     gamma_quantile,
-    log_gamma,
     mutual_information_bits,
     significance_threshold,
 )
@@ -211,12 +211,17 @@ class TestGammaCdf:
     def test_zero_is_zero(self):
         assert gamma_cdf(0.0, 4.5, 0.001) == 0.0
 
+    def test_infinity_is_one(self):
+        for alpha in (0.5, 1.0, 4.5):
+            assert gamma_cdf(math.inf, alpha, 0.001) == 1.0
+            assert gamma_cdf(1e308, alpha, 1.0) == 1.0
+
     def test_exponential_special_case(self):
         assert gamma_cdf(2.0, 1.0, 2.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_against_quadrature_oracle(self):
         alpha, beta, x = 4.5, 0.001, 0.0045
-        density = lambda t: t ** (alpha - 1) * math.exp(-t / beta) / (math.exp(log_gamma(alpha)) * beta**alpha)
+        density = lambda t: t ** (alpha - 1) * math.exp(-t / beta) / (math.gamma(alpha) * beta**alpha)
         expected, quad_err = integrate.quad(density, 0.0, x, epsabs=1e-13, limit=200)
         assert quad_err < 1e-8
         assert gamma_cdf(x, alpha, beta) == pytest.approx(expected, abs=1e-10)
@@ -225,6 +230,20 @@ class TestGammaCdf:
         xs = np.linspace(0.0, 5.0, 200)
         values = [gamma_cdf(float(x), 2.5, 0.7) for x in xs]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_against_scipy_for_every_half_integer_shape(self):
+        for alpha in np.arange(1, 65) / 2.0:
+            for beta in (0.3, 1.0, 2.5):
+                x = np.concatenate([[0.0], np.logspace(-3, 2.5, 40)])
+                ours = [gamma_cdf(float(v), float(alpha), beta) for v in x]
+                assert np.abs(np.subtract(ours, stats.gamma.cdf(x, alpha, scale=beta))).max() <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [0.7, 0.0, 1.25, math.nan])
+    def test_shape_off_the_half_integers_rejected(self, alpha):
+        with pytest.raises(ValueError, match="positive multiple of 1/2"):
+            gamma_cdf(1.0, alpha, 1.0)
+        with pytest.raises(ValueError, match="positive multiple of 1/2"):
+            gamma_quantile(0.5, alpha, 1.0)
 
     @pytest.mark.parametrize("bad", [(-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, -1.0)])
     def test_domain_violations_rejected(self, bad):
@@ -277,8 +296,8 @@ class TestSignificance:
 
     def test_cached_threshold_equals_fresh_solve(self):
         for cfg in (MiTestConfig(4, 4, 1440, 0.01, 69 * 69), MiTestConfig(3, 5, 500, 0.05, 10)):
-            alpha = (cfg.states_x - 1) * (cfg.states_y - 1) / 2.0
-            fresh = gamma_quantile(1.0 - cfg.corrected_p, alpha, 1.0 / (cfg.sample_size * math.log(2.0)))
+            dof = (cfg.states_x - 1) * (cfg.states_y - 1)
+            fresh = _chi2_isf(cfg.corrected_p, dof) / (2.0 * cfg.sample_size * math.log(2.0))
             first = significance_threshold(cfg)
             again = significance_threshold(MiTestConfig(**vars(cfg)))
             assert first == fresh
@@ -316,6 +335,15 @@ class TestSignificance:
         # a link needs MI strictly above the threshold; the diagonal is never one
         expected = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [2.0, 0.0, 0.0]])
         assert np.array_equal(validate_links(mi, threshold), expected)
+
+    @pytest.mark.parametrize("states", [(s, s) for s in (*range(2, 10), 16, 40, 100)] + [(3, 5)])
+    def test_threshold_equals_scipy_chi2_tail_point(self, states):
+        dof = (states[0] - 1) * (states[1] - 1)
+        for n in (20, 286, 1439, 100_000):
+            for m in (1, 100, 40_000, 1_000_000):
+                threshold = significance_threshold(MiTestConfig(*states, n, 0.01, m))
+                expected = stats.chi2.isf(0.01 / m, dof) / (2.0 * n * math.log(2.0))
+                assert threshold == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
