@@ -6,15 +6,19 @@ matrix is the plug-in MI between the discretized past of asset m and the
 discretized future of asset q. Entries failing the Gamma significance test
 are zeroed, the diagonal is excluded, and the validated matrix is averaged
 with its transpose to give a symmetric weighted graph.
+
+A graph's weights are saved as an edge list (``write_graph``,
+``load_edge_list``); its other fields go in the run's graph index
+``graphs.json``, which ``pipeline`` writes and reads.
 """
 
 from __future__ import annotations
 
 import csv
-import json
+import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +42,7 @@ __all__ = [
     "build_graph",
     "constant_columns",
     "write_graph",
-    "load_graph",
+    "load_edge_list",
 ]
 
 
@@ -75,10 +79,6 @@ class LeadLagGraph:
     validated_link_count: int  # directed count, before symmetrization
     sample_size: int
     threshold_bits: float
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
 
 
 def shift_split(returns: ReturnMatrix, lag: int) -> tuple[np.ndarray, np.ndarray]:
@@ -255,13 +255,9 @@ def build_graph(
     )
 
 
-def _iso_utc(ms: int) -> str:
-    return datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def write_graph(graph: LeadLagGraph, csv_path: str | Path, json_path: str | Path) -> None:
-    """Persist a graph as an upper-triangle edge list plus a JSON sidecar."""
-    csv_path, json_path = Path(csv_path), Path(json_path)
+def write_graph(graph: LeadLagGraph, csv_path: str | Path) -> None:
+    """Persist a graph's weights as an upper-triangle ``source,target,weight`` edge list."""
+    csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -269,48 +265,16 @@ def write_graph(graph: LeadLagGraph, csv_path: str | Path, json_path: str | Path
         rows, cols = np.nonzero(np.triu(graph.weights, 1) > 0.0)  # row-major, as the pair loop
         for i, j, w in zip(rows.tolist(), cols.tolist(), graph.weights[rows, cols].tolist()):
             writer.writerow([graph.assets[i], graph.assets[j], _fmt(w)])
-    sidecar = {
-        "spec": {
-            "period_minutes": graph.spec.period_minutes,
-            "lag": graph.spec.lag,
-            "window_rows": graph.spec.window_rows,
-        },
-        "window_end": int(graph.window_end),
-        "window_end_iso": _iso_utc(int(graph.window_end)),
-        "n": graph.n_assets,
-        "assets": list(graph.assets),
-        "validated_link_count": graph.validated_link_count,
-        "sample_size": graph.sample_size,
-        "threshold_bits": graph.threshold_bits,
-    }
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
-def load_graph(csv_path: str | Path, json_path: str | Path) -> LeadLagGraph:
-    """Rebuild a graph from its edge list and sidecar; adjacency is recomputed."""
-    sidecar = Path(json_path).name
-    try:
-        with open(json_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        assets = tuple(meta["assets"])
-        spec = LagSpec(
-            period_minutes=meta["spec"]["period_minutes"],
-            lag=meta["spec"]["lag"],
-            window_rows=meta["spec"].get("window_rows"),
-        )
-        window_end = int(meta["window_end"])
-        link_count = int(meta["validated_link_count"])
-        sample_size = int(meta["sample_size"])
-        threshold_bits = float(meta["threshold_bits"])
-    except KeyError as exc:
-        raise ValueError(f"{sidecar}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # malformed JSON, or a value of the wrong kind
-        raise ValueError(f"{sidecar}: {exc}") from exc
+def load_edge_list(csv_path: str | Path, assets: Sequence[str]) -> np.ndarray:
+    """The symmetric weights of an edge list over ``assets``; ``ValueError`` naming the file and row of a bad line.
+
+    A bad line names an asset not in ``assets``, a self-edge or a pair already
+    read (in either order), or holds a weight that is not finite and above 0.
+    """
     index = {a: i for i, a in enumerate(assets)}
-    n = len(assets)
-    weights = np.zeros((n, n), dtype=float)
+    weights = np.zeros((len(assets), len(assets)), dtype=float)
     name = Path(csv_path).name
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -324,18 +288,14 @@ def load_graph(csv_path: str | Path, json_path: str | Path) -> LeadLagGraph:
                 source, target, weight = row
                 i, j, w = index[source], index[target], float(weight)
             except KeyError as exc:
-                raise ValueError(f"{name}: row {number}: asset {exc} is not in the sidecar's asset list") from exc
+                raise ValueError(f"{name}: row {number}: asset {exc} is not in graphs.json's asset list") from exc
             except ValueError as exc:
                 raise ValueError(f"{name}: row {number}: {exc}") from exc
-            weights[i, j] = w
-            weights[j, i] = w
-    return LeadLagGraph(
-        spec=spec,
-        window_end=window_end,
-        assets=assets,
-        weights=weights,
-        adjacency=binarize(weights),
-        validated_link_count=link_count,
-        sample_size=sample_size,
-        threshold_bits=threshold_bits,
-    )
+            if not 0.0 < w < math.inf:
+                raise ValueError(f"{name}: row {number}: weight must be finite and above 0, got {weight!r}")
+            if i == j:
+                raise ValueError(f"{name}: row {number}: self-edge on asset {source!r}")
+            if weights[i, j]:
+                raise ValueError(f"{name}: row {number}: repeated pair {source!r}, {target!r}")
+            weights[i, j] = weights[j, i] = w
+    return weights

@@ -10,7 +10,9 @@ through it.
 Pairwise cosine similarity series and a 2-D PCA projection are derived from
 the embeddings.
 
-The ``write_*`` and ``load_*`` functions here define the artifact formats.
+The ``write_*`` and ``load_*`` functions here define the artifact formats,
+the graph index ``graphs.json`` among them: it lists the run's graphs, and
+``load_graph_artifacts`` reads those edge lists and no others.
 Nothing in this module writes a run directory: the CLI stages call the
 writers and are the only code that does.
 """
@@ -18,6 +20,7 @@ writers and are the only code that does.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import os
 import shutil
@@ -74,6 +77,9 @@ __all__ = [
 ]
 
 MS_PER_DAY = 86_400_000
+GRAPH_INDEX = "graphs.json"  # beside graphs/, which holds only the spec directories
+# each index entry's fields besides its spec, in LeadLagGraph's order, with their types
+_INDEX_FIELDS = {"window_end": int, "validated_link_count": int, "sample_size": int, "threshold_bits": float}
 
 
 class ConfigError(ValueError):
@@ -563,23 +569,56 @@ def link_count_summary(graphs: Sequence[LeadLagGraph]) -> dict:
     return by_spec
 
 
-def write_graph_artifacts(graphs: Sequence[LeadLagGraph], graphs_dir: str | Path) -> None:
-    """Replace ``graphs_dir`` with these graphs, so no graph of an earlier run is left."""
-    graphs_dir = Path(graphs_dir)
-    if graphs_dir.exists():
-        shutil.rmtree(graphs_dir)
+def _edge_list_path(run_dir: Path, spec: LagSpec, window_end: int) -> Path:
+    return run_dir / "graphs" / spec.tag / f"{window_end}.csv"
+
+
+def write_graph_artifacts(graphs: Sequence[LeadLagGraph], run_dir: str | Path) -> None:
+    """Replace the run's ``graphs/`` and its index ``graphs.json`` with these graphs, the index last.
+
+    The old index goes first and the new one is renamed into place once every
+    edge list it lists is whole, so a graph stage that crashes leaves none.
+    """
+    run_dir = Path(run_dir)
+    (run_dir / GRAPH_INDEX).unlink(missing_ok=True)
+    if (run_dir / "graphs").exists():
+        shutil.rmtree(run_dir / "graphs")
     for g in graphs:
-        spec_dir = graphs_dir / g.spec.tag
-        leadlag.write_graph(g, spec_dir / f"{g.window_end}.csv", spec_dir / f"{g.window_end}.json")
+        leadlag.write_graph(g, _edge_list_path(run_dir, g.spec, g.window_end))
+    entries = [{"spec": asdict(g.spec), **{key: getattr(g, key) for key in _INDEX_FIELDS}} for g in graphs]
+    text = json.dumps({"assets": list(graphs[0].assets), "graphs": entries}, indent=2, sort_keys=True)
+    partial = run_dir / f"{GRAPH_INDEX}.partial"
+    partial.write_text(text + "\n", encoding="utf-8")
+    os.replace(partial, run_dir / GRAPH_INDEX)
 
 
-def load_graph_artifacts(graphs_dir: str | Path) -> list[LeadLagGraph]:
-    graphs_dir = Path(graphs_dir)
+def load_graph_artifacts(run_dir: str | Path, specs: Sequence[LagSpec]) -> list[LeadLagGraph]:
+    """The graphs that the run's ``graphs.json`` lists, each read from its edge list; nothing else.
+
+    ``FileNotFoundError`` when no graph stage has finished or the index's specs
+    are not ``specs``; ``ValueError`` naming ``graphs.json`` when it is malformed.
+    """
+    index_path = Path(run_dir) / GRAPH_INDEX
+    if not index_path.exists():
+        raise FileNotFoundError(f"graph index not found: {index_path} (run 'graphs' first)")
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+        assets = tuple(index["assets"])
+        entries = [(LagSpec(**e["spec"]), *(kind(e[key]) for key, kind in _INDEX_FIELDS.items())) for e in index["graphs"]]
+    except KeyError as exc:
+        raise ValueError(f"{GRAPH_INDEX}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # malformed JSON, or a value of the wrong kind
+        raise ValueError(f"{GRAPH_INDEX}: {exc}") from exc
+    listed = {entry[0] for entry in entries}
+    if listed != set(specs):
+        names = lambda group: sorted(s.tag if s.window_rows is None else f"{s.tag}/{s.window_rows}rows" for s in group)
+        raise FileNotFoundError(
+            f"{GRAPH_INDEX} holds graphs of specs {names(listed)}, the config asks for {names(specs)} (run 'graphs' first)"
+        )
     graphs = []
-    for csv_path in sorted(graphs_dir.glob("*/*.csv")):
-        graphs.append(leadlag.load_graph(csv_path, csv_path.with_suffix(".json")))
-    if not graphs:
-        raise FileNotFoundError(f"no graph artifacts found under {graphs_dir}")
+    for spec, end, links, sample_size, threshold in entries:
+        weights = leadlag.load_edge_list(_edge_list_path(index_path.parent, spec, end), assets)
+        graphs.append(LeadLagGraph(spec, end, assets, weights, leadlag.binarize(weights), links, sample_size, threshold))
     return graphs
 
 

@@ -324,13 +324,13 @@ def test_fixture_artifacts_digest(fixture_run):
     with scipy-openblas 0.3.31; another BLAS or numpy may round the matrix
     products differently. A change that is meant to alter the artifacts
     updates the value and says why. The second digest also leaves out the
-    graph sidecars, whose ``threshold_bits`` records the threshold to its
-    last bit, so it pins the edge lists and everything built from them
-    whatever the last bits of the threshold solve.
+    graph index ``graphs.json``, whose ``threshold_bits`` records the
+    threshold to its last bit, so it pins the edge lists and everything
+    built from them whatever the last bits of the threshold solve.
     """
     run1 = fixture_run["run1"]
     files = sorted(p for p in run1.rglob("*") if p.is_file())
-    assert len(files) == 410
+    assert len(files) == 231
 
     def digest(paths):
         sha = hashlib.sha256()
@@ -339,10 +339,10 @@ def test_fixture_artifacts_digest(fixture_run):
         return sha.hexdigest()
 
     hashed = [p for p in files if p.relative_to(run1).as_posix() != "report.json"]
-    assert digest(hashed) == "5df70e8b67c57f6a3e372b27283036044bed2f3ba70c09fc63a72d56701cc5e7"
-    without_sidecars = [p for p in hashed if not p.match("graphs/*/*.json")]
-    assert len(without_sidecars) == 229
-    assert digest(without_sidecars) == "fa0b471adb187f1983daeff31e559cf0160249f0a72d1405a786b5d21ce95fd2"
+    assert digest(hashed) == "8ee11cc75b768369351ee15f7470d14740d0a3dc69ca529572a480aab859f077"
+    without_index = [p for p in hashed if p.relative_to(run1).as_posix() != "graphs.json"]
+    assert len(without_index) == 229
+    assert digest(without_index) == "fa0b471adb187f1983daeff31e559cf0160249f0a72d1405a786b5d21ce95fd2"
 
 
 def test_crit_12_pca():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import similarity_csv_oracle
-from leadlag_fuse import cli, fusion
+from leadlag_fuse import cli, fusion, leadlag
 from leadlag_fuse.cli import (
     EXIT_CONFIG,
     EXIT_FAILURE,
@@ -390,9 +390,10 @@ class TestCliDispatch:
         for _ in range(2):
             assert main(["--config", str(config_path), "--out", str(out), "--quiet", "ingest"]) == EXIT_OK
             assert main(["--config", str(config_path), "--out", str(out), "--quiet", "graphs"]) == EXIT_OK
-        first = tree_bytes(out / "graphs", "*/*")
+        first = tree_bytes(out, "graphs/*/*") | tree_bytes(out, "graphs.json")
+        assert "graphs.json" in first and len(first) == 19  # the index and 3 dates x 6 specs
         assert main(["--config", str(config_path), "--out", str(out), "--quiet", "graphs"]) == EXIT_OK
-        assert tree_bytes(out / "graphs", "*/*") == first
+        assert tree_bytes(out, "graphs/*/*") | tree_bytes(out, "graphs.json") == first
 
     def test_staged_equals_run_all(self, workspace):
         root, config_path = workspace
@@ -410,7 +411,7 @@ class TestCliDispatch:
         assert main(["--config", str(config_path), "--out", str(out), "--quiet", "run-all"]) == EXIT_OK
         config = load_config(config_path)
         result = run_dynamic_fusion(config, load_prices(sorted((root / "prices").glob("*.csv"))))
-        written = {(g.spec.tag, g.window_end): g for g in load_graph_artifacts(out / "graphs")}
+        written = {(g.spec.tag, g.window_end): g for g in load_graph_artifacts(out, config.specs)}
         assert sorted(written) == sorted((g.spec.tag, g.window_end) for g in result.graphs)
         for graph in result.graphs:
             assert np.array_equal(written[(graph.spec.tag, graph.window_end)].weights, graph.weights)
@@ -593,13 +594,29 @@ def append_line(path, line):
 class TestArtifactReadersNameTheFile:
     """A malformed artifact stops the stage that reads it with exit 1 and names the file, and the row of a malformed line."""
 
+    EDGE_ROWS = {
+        "unknown_asset": "A99,A01,0.5",
+        "bad_weight": "A00,A01,x",
+        "self_edge": "A00,A00,0.5",
+        "negative_weight": "A00,A02,-1",
+        "nan_weight": "A00,A02,nan",
+        "inf_weight": "A00,A02,inf",
+        "zero_weight": "A00,A02,0",
+    }
+
     @pytest.mark.parametrize(
         "case, stage, message",
         [
-            ("unknown_asset", "fuse", "asset 'A99' is not in the sidecar's asset list"),
+            ("unknown_asset", "fuse", "asset 'A99' is not in graphs.json's asset list"),
             ("bad_weight", "fuse", "could not convert string to float: 'x'"),
             ("short_embedding", "postprocess", "3 fields, the header has"),
             ("fractional_window_end", "postprocess", "invalid literal for int()"),
+            ("self_edge", "fuse", "self-edge on asset 'A00'"),
+            ("repeated_pair", "fuse", "repeated pair"),
+            ("negative_weight", "fuse", "weight must be finite and above 0, got '-1'"),
+            ("nan_weight", "fuse", "weight must be finite and above 0, got 'nan'"),
+            ("inf_weight", "fuse", "weight must be finite and above 0, got 'inf'"),
+            ("zero_weight", "fuse", "weight must be finite and above 0, got '0'"),
         ],
     )
     def test_malformed_row(self, workspace, finished_run, tmp_path, capsys, case, stage, message):
@@ -608,7 +625,11 @@ class TestArtifactReadersNameTheFile:
         shutil.copytree(finished_run, out)
         if stage == "fuse":
             target = sorted((out / "graphs" / "d1_T1").glob("*.csv"))[0]
-            append_line(target, "A99,A01,0.5" if case == "unknown_asset" else "A00,A01,x")
+            if case == "repeated_pair":  # the first edge again, its ends swapped
+                source, other, weight = target.read_text(encoding="utf-8").splitlines()[1].split(",")
+                append_line(target, f"{other},{source},{weight}")
+            else:
+                append_line(target, self.EDGE_ROWS[case])
         else:
             target = out / "embeddings.csv"
             lines = target.read_text(encoding="utf-8").splitlines()
@@ -634,21 +655,77 @@ class TestArtifactReadersNameTheFile:
             ("not_an_object", "list indices must be integers"),
         ],
     )
-    def test_malformed_sidecar(self, workspace, finished_run, tmp_path, capsys, case, message):
+    def test_malformed_index(self, workspace, finished_run, tmp_path, capsys, case, message):
         _, config_path = workspace
         out = tmp_path / "run"
         shutil.copytree(finished_run, out)
-        target = sorted((out / "graphs" / "d1_T1").glob("*.json"))[0]
-        meta = json.loads(target.read_text(encoding="utf-8"))
+        target = out / "graphs.json"
+        index = json.loads(target.read_text(encoding="utf-8"))
         if case == "missing_key":
-            del meta["assets"]
-            target.write_text(json.dumps(meta), encoding="utf-8")
+            del index["assets"]
+            target.write_text(json.dumps(index), encoding="utf-8")
         elif case == "malformed_json":
-            target.write_text(json.dumps(meta).replace(",", "", 1), encoding="utf-8")
+            target.write_text(json.dumps(index).replace(",", "", 1), encoding="utf-8")
         else:
-            target.write_text(json.dumps(list(meta.values())), encoding="utf-8")
+            target.write_text(json.dumps(list(index.values())), encoding="utf-8")
         code = main(["--config", str(config_path), "--out", str(out), "--quiet", "fuse"])
         assert code == EXIT_FAILURE
         err = capsys.readouterr().err
-        assert f"error: {target.name}: " in err
+        assert "error: graphs.json: " in err
         assert message in err
+
+
+class TestGraphIndexIsTheCommitPoint:
+    """``fuse`` reads the graphs that ``graphs.json`` lists, and refuses with exit 4 when they are not the config's."""
+
+    @pytest.mark.parametrize("earlier_graphs", [False, True], ids=["fresh", "over_finished_graphs"])
+    def test_crashed_graph_stage_leaves_nothing_to_fuse(self, workspace, tmp_path, monkeypatch, capsys, earlier_graphs):
+        _, config_path = workspace
+        # no validation split, so that the 8 samples of two dates would train
+        base = ["--config", str(config_path), "--out", str(tmp_path), "--quiet", "--set", "training.validation_fraction=0"]
+        assert main([*base, "ingest"]) == EXIT_OK
+        if earlier_graphs:
+            assert main([*base, "graphs"]) == EXIT_OK
+            assert len(list((tmp_path / "graphs").glob("*/*.csv"))) == 18
+        write_graph, written = leadlag.write_graph, []
+
+        def crash_after_12_graphs(*args):
+            if len(written) == 12:
+                raise OSError("disk full")
+            written.append(args)
+            write_graph(*args)
+
+        monkeypatch.setattr(leadlag, "write_graph", crash_after_12_graphs)
+        assert main([*base, "graphs"]) == EXIT_FAILURE
+        monkeypatch.undo()
+        assert len(list((tmp_path / "graphs").glob("*/*.csv"))) == 12  # two whole dates of three, six specs each
+        capsys.readouterr()
+        assert main([*base, "fuse"]) == EXIT_MISSING_INPUT
+        assert "graphs.json (run 'graphs' first)" in capsys.readouterr().err
+        assert not (tmp_path / "embeddings.csv").exists()
+
+    @pytest.mark.parametrize(
+        "specs, asked",
+        [
+            ([{"period_minutes": 1, "lag": 1}], "['d1_T1']"),
+            (
+                [{"period_minutes": d, "lag": t} for d in (1, 5) for t in (0, 1, 2, 3)],
+                "['d1_T0', 'd1_T1', 'd1_T2', 'd1_T3', 'd5_T0', 'd5_T1', 'd5_T2', 'd5_T3']",
+            ),
+            (
+                [{"period_minutes": d, "lag": t, "window_rows": 720 if (d, t) == (1, 1) else None} for d in (1, 5) for t in (0, 1, 2)],
+                "['d1_T0', 'd1_T1/720rows', 'd1_T2', 'd5_T0', 'd5_T1', 'd5_T2']",
+            ),
+        ],
+        ids=["fewer", "more", "other_window_rows"],
+    )
+    def test_fuse_refuses_an_index_of_other_specs(self, workspace, finished_run, tmp_path, capsys, specs, asked):
+        _, config_path = workspace
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        code = main(["--config", str(config_path), "--out", str(out), "--quiet", "--set", f"specs={json.dumps(specs)}", "fuse"])
+        assert code == EXIT_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert "graphs.json holds graphs of specs ['d1_T0', 'd1_T1', 'd1_T2', 'd5_T0', 'd5_T1', 'd5_T2']" in err
+        assert f"the config asks for {asked}" in err
+        assert (out / "embeddings.csv").read_bytes() == (finished_run / "embeddings.csv").read_bytes()

@@ -1,6 +1,7 @@
 import csv
 import io
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from leadlag_fuse.leadlag import (
     constant_columns,
     count_validated_links,
     lagged_mi_matrix,
-    load_graph,
     shift_split,
     symmetrize,
     validate_links,
     write_graph,
 )
 from leadlag_fuse.market_data import MS_PER_MINUTE, ReturnMatrix
+from leadlag_fuse.pipeline import load_graph_artifacts, write_graph_artifacts
 
 T0 = 1_609_459_200_000
 
@@ -321,16 +322,16 @@ class TestGraphConstruction:
 
     def test_write_load_round_trip(self, tmp_path):
         rm = planted_returns(5, rows=722, n=4, coupling=0.9, noise=0.2)
-        graph = build_graph(rm, LagSpec(1, 1), int(rm.timestamps[-1]), 0.01)
-        write_graph(graph, tmp_path / "g.csv", tmp_path / "g.json")
-        loaded = load_graph(tmp_path / "g.csv", tmp_path / "g.json")
-        assert loaded.assets == graph.assets
-        assert loaded.spec == graph.spec
-        assert loaded.window_end == graph.window_end
-        assert loaded.validated_link_count == graph.validated_link_count
-        assert loaded.sample_size == graph.sample_size
-        assert np.array_equal(loaded.weights, graph.weights)
-        assert np.array_equal(loaded.adjacency, graph.adjacency)
+        end = int(rm.timestamps[-1])
+        graphs = [build_graph(rm, LagSpec(1, 1), end, 0.01), build_graph(rm, LagSpec(1, 0, window_rows=722), end, 0.01)]
+        assert graphs[0].validated_link_count > 0
+        write_graph_artifacts(graphs, tmp_path)
+        loaded = load_graph_artifacts(tmp_path, [g.spec for g in graphs])
+        assert len(loaded) == len(graphs)
+        for graph, back in zip(graphs, loaded):
+            for f in fields(LeadLagGraph):
+                value, read = getattr(graph, f.name), getattr(back, f.name)
+                assert np.array_equal(read, value) if isinstance(value, np.ndarray) else read == value, f.name
 
     def test_edge_list_matches_csv_writer_oracle(self, tmp_path):
         assets = ("A", "B,B", "C", "D")
@@ -338,7 +339,7 @@ class TestGraphConstruction:
         for i, j, w in [(0, 1, 1e-05), (0, 3, 0.5), (1, 2, 2.0 / 3.0), (2, 3, 1.25e-300)]:
             weights[i, j] = weights[j, i] = w
         graph = LeadLagGraph(LagSpec(1, 1), T0, assets, weights, weights > 0, 8, 99, 0.01)
-        write_graph(graph, tmp_path / "g.csv", tmp_path / "g.json")
+        write_graph(graph, tmp_path / "g.csv")
         expected = io.StringIO()
         writer = csv.writer(expected)
         writer.writerow(["source", "target", "weight"])
