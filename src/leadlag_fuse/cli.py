@@ -228,7 +228,7 @@ def stage_graphs(out_dir: Path, config: RunConfig, panel: PricePanel | None = No
             raise FileNotFoundError(f"panel cache not found: {panel_path} (run 'ingest' first)")
         panel = load_panel_csv(panel_path)
     graphs, usable_ends, skips, flags = pipeline.build_graphs(config, panel, threads=threads)
-    pipeline.write_graph_artifacts(graphs, out_dir)
+    pipeline.write_graph_artifacts(graphs, out_dir, config)
     payload = {
         "usable_window_ends": usable_ends,
         "skips": skips,
@@ -242,7 +242,7 @@ def stage_graphs(out_dir: Path, config: RunConfig, panel: PricePanel | None = No
 
 def stage_fuse(out_dir: Path, config: RunConfig, graphs=None):
     if graphs is None:
-        graphs = pipeline.load_graph_artifacts(out_dir, config.specs)
+        graphs = pipeline.load_graph_artifacts(out_dir, config)
     model, report, frame = pipeline.fit(config, graphs)
     pipeline.write_embeddings_csv(frame, out_dir / "embeddings.csv")
     fusion.save_model(model, out_dir / "model.json")

@@ -15,7 +15,10 @@ that of ``params``: a model computes in the precision it was built with
 The training data is one graph-major (graph_count, rows, input_dim) float
 array, cast once to the model's dtype where it enters ``train`` or
 ``extract_embeddings``; in the pipeline row ``d * n + a`` is asset ``a`` of
-``n`` at usable date ``d``.
+``n`` at usable date ``d``. Both work on the distinct rows
+(``distinct_rows``): ``train`` weights each by its count, so the loss and its
+gradient are those of all rows in exact arithmetic, and ``extract_embeddings``
+encodes each once and gives every copy its vector.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "TrainingDiverged",
     "FusionModel",
     "EmbeddingFrame",
+    "distinct_rows",
     "train",
     "extract_embeddings",
     "save_model",
@@ -138,6 +142,8 @@ class TrainReport:
     best_val_loss: float | None = None
     # share of validation rows with an exact copy among the training rows; None without a split
     validation_copy_share: float | None = None
+    # distinct rows each part trains or validates on, {"train": k, "val": k}; None without a split
+    distinct_rows: dict | None = None
     # how well the final model fits all samples; set by pipeline.fit, which knows their layout
     explained_share: dict | None = None
     one_hot_row_share: float | None = None
@@ -197,6 +203,21 @@ class FusionModel:
             )
         return x
 
+    def _check_weights(self, weights: np.ndarray | None, batch: int) -> np.ndarray | None:
+        """Per-row loss weights in the model's dtype: finite, nonnegative, one per row, a positive sum.
+
+        Unit weights are returned as None, so that rows that all occur once
+        skip the weighting and cost what unweighted rows cost.
+        """
+        if weights is None:
+            return None
+        w = np.asarray(weights, dtype=self.params.dtype)
+        if w.shape != (batch,):
+            raise ValueError(f"weights have shape {w.shape}, expected ({batch},)")
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0) or not w.sum() > 0.0:
+            raise ValueError("weights must be finite and nonnegative, with a positive sum")
+        return None if np.all(w == 1.0) else w
+
     def _encode(self, x: np.ndarray, records: list[ForwardRecord] | None = None) -> np.ndarray:
         """Fused embeddings z, (1, batch, embedding_dim), of a checked sample array."""
         return _output(self.shared_encoder, _joined(_output(self.graph_encoder, x, records)), records)
@@ -206,30 +227,40 @@ class FusionModel:
         expanded = _output(self.shared_decoder, z, records)
         return _output(self.graph_decoder, _graph_chunks(expanded, self.architecture.graph_count), records)
 
-    def _loss(self, x: np.ndarray, records: list[ForwardRecord] | None = None) -> tuple[list[float], np.ndarray]:
-        """Each graph's reconstruction MSE over the batch, and the residual recon - x.
+    def _loss(
+        self, x: np.ndarray, w: np.ndarray | None, records: list[ForwardRecord] | None = None
+    ) -> tuple[list[float], np.ndarray, float]:
+        """Each graph's weighted reconstruction MSE, the residual recon - x, and the MSEs' divisor.
 
-        The residual is formed in the graph decoder's output buffer (its last
-        layer is the identity) and squared one graph at a time into one
-        buffer: squaring the whole stack would hold a second (G, batch,
-        input_dim) array, 2 MB in float32 on the wide benchmark workload. Each
-        graph's MSE is the sum of its squares over their count, as ``np.mean``
-        forms it.
+        A graph's MSE is sum_i w_i ||r_i||^2 / (sum(w) * input_dim); without
+        weights every row weighs 1 and it is the sum of the squares over their
+        count, as ``np.mean`` forms it. The residual is formed in the graph
+        decoder's output buffer (its last layer is the identity) and squared
+        one graph at a time into one buffer: squaring the whole stack would
+        hold a second (G, batch, input_dim) array, 2 MB in float32 on the wide
+        benchmark workload.
         """
         residual = self._decode(self._encode(x, records), records)
         residual -= x
         square = np.empty_like(residual[0])
-        mse = [float(np.add.reduce(np.multiply(r, r, out=square), axis=None) / r.size) for r in residual]
-        return mse, residual
+        divisor = residual[0].size if w is None else float(w.sum()) * residual.shape[2]
+        mse = []
+        for r in residual:
+            np.multiply(r, r, out=square)
+            if w is not None:
+                square *= w[:, np.newaxis]
+            mse.append(float(np.add.reduce(square, axis=None) / divisor))
+        return mse, residual, divisor
 
     def encode_batch(self, samples: np.ndarray) -> np.ndarray:
         """Fused embeddings (batch, embedding_dim).
 
         Not batch-invariant in the last bits: the matrix products may sum in a
         different order for a different batch, so a row encoded alone or in
-        another batch can differ from the same row in ``extract_embeddings``
-        by about one unit in the last place of the model's dtype (~1e-16 in
-        float64; up to 1.9e-6 was seen on float32 embeddings of magnitude 13).
+        another batch can differ by about one unit in the last place of the
+        model's dtype (~1e-16 in float64; up to 1.9e-6 was seen on float32
+        embeddings of magnitude 13). ``extract_embeddings`` encodes each
+        distinct row once, so there only rows that differ can be moved apart.
         """
         return self._encode(self._check_inputs(samples))[0]
 
@@ -240,22 +271,30 @@ class FusionModel:
             raise ValueError(f"z has shape {z.shape}, expected (batch, {self.architecture.embedding_dim})")
         return self._decode(z[np.newaxis])
 
-    def graph_losses(self, samples: np.ndarray) -> list[float]:
-        """Each graph's reconstruction MSE; ``reconstruction_loss`` is their mean."""
-        return self._loss(self._check_inputs(samples))[0]
+    def graph_losses(self, samples: np.ndarray, weights: np.ndarray | None = None) -> list[float]:
+        """Each graph's reconstruction MSE, each row weighted by ``weights`` (default 1 each).
 
-    def reconstruction_loss(self, samples: np.ndarray) -> float:
-        mse = self.graph_losses(samples)
+        Rows of weight ``c`` count as ``c`` copies: the distinct rows weighted by
+        their counts give the MSEs of all rows. ``reconstruction_loss`` is their mean.
+        """
+        x = self._check_inputs(samples)
+        return self._loss(x, self._check_weights(weights, x.shape[1]))[0]
+
+    def reconstruction_loss(self, samples: np.ndarray, weights: np.ndarray | None = None) -> float:
+        mse = self.graph_losses(samples, weights)
         return sum(mse) / len(mse)
 
-    def loss_and_gradients(self, samples: np.ndarray) -> tuple[float, np.ndarray]:
-        """Reconstruction loss and its gradient, one new vector laid out like ``params``."""
+    def loss_and_gradients(self, samples: np.ndarray, weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """Reconstruction loss, rows weighted as in ``graph_losses``, and its gradient laid out like ``params``."""
         x = self._check_inputs(samples)
+        w = self._check_weights(weights, x.shape[1])
         records: list[ForwardRecord] = []
-        mse, residual = self._loss(x, records)
-        # dL/drecon in place: 2 (recon - x) / (batch * input_dim) / G. Dividing by half the size
-        # (exact) rounds the quotient 2 (recon - x) / size once, as doubling (exact) and dividing would.
-        residual /= residual[0].size / 2.0
+        mse, residual, divisor = self._loss(x, w, records)
+        # dL/drecon in place: 2 w (recon - x) / divisor / G. Dividing by half the divisor
+        # (exact) rounds the quotient 2 w (recon - x) / divisor once, as doubling (exact) and dividing would.
+        if w is not None:
+            residual *= w[:, np.newaxis]
+        residual /= divisor / 2.0
         residual /= len(residual)
         grad = np.empty_like(self.params)
         enc_rec, shared_enc_rec, shared_dec_rec, dec_rec = records
@@ -301,6 +340,25 @@ def _check_samples(model: FusionModel, samples: np.ndarray) -> np.ndarray:
     return x
 
 
+def distinct_rows(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a graph-major (G, rows, n) array, (G, distinct, n), and each row's index among them.
+
+    A row is one sample's feature rows in all G graphs, compared byte for
+    byte: two rows are one exactly when they are copies. Row ``i`` of
+    ``samples`` is distinct row ``inverse[i]``; the distinct rows come in
+    the byte order of their contents, a fixed order for fixed inputs. One
+    ``np.unique`` sorts the rows viewed as opaque records: at the benchmark
+    workloads' shapes that took 1-4 ms on a 2-core x86-64 host, where
+    ``np.unique(axis=0)``, which compares float column by column, took 20-50 ms.
+    """
+    x = np.asarray(samples)
+    graphs, rows, n = x.shape
+    joined = np.ascontiguousarray(np.moveaxis(x, 1, 0)).reshape(rows, graphs * n)
+    records = joined.view(np.dtype((np.void, joined.itemsize * graphs * n))).reshape(rows)
+    _, first, inverse = np.unique(records, return_index=True, return_inverse=True)
+    return np.take(x, first, axis=1), inverse.reshape(rows)
+
+
 def train(
     model: FusionModel,
     samples: np.ndarray,
@@ -316,8 +374,13 @@ def train(
     improved by at least ``min_delta`` for ``patience`` consecutive epochs;
     the parameters of the best validation epoch are restored.
     ``validation_fraction=0`` trains on all samples with no early stopping
-    (for capacity checks). The report's ``validation_copy_share`` is the
-    share of validation rows that repeat a training row exactly, in every graph.
+    (for capacity checks).
+
+    Each part runs on its distinct rows (``distinct_rows``), each weighted by
+    its count in the part, so every loss and gradient is that of the part's
+    rows in exact arithmetic. The report's ``distinct_rows`` counts them, and
+    its ``validation_copy_share`` is the share of validation rows that repeat
+    a training row exactly, in every graph.
     """
     x = _check_samples(model, samples)
     validation_fraction = settings.validation_fraction
@@ -331,18 +394,26 @@ def train(
     if validation_fraction > 0.0:
         n_val = min(max(n_val, 1), m - 1)
     train_idx, val_idx = perm[: m - n_val], perm[m - n_val :]
-    # np.take keeps the rows contiguous per graph; x[:, idx] would not
-    train_inputs = np.take(x, train_idx, axis=1)
-    val_inputs = np.take(x, val_idx, axis=1) if n_val else None
+    distinct, inverse = distinct_rows(x)
+    train_counts = np.bincount(inverse[train_idx], minlength=distinct.shape[1])
+    val_counts = np.bincount(inverse[val_idx], minlength=distinct.shape[1])
+
+    def part(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows a part holds and their counts in it, in the model's dtype."""
+        present = np.flatnonzero(counts)
+        # np.take keeps the rows contiguous per graph; distinct[:, present] would not
+        return np.take(distinct, present, axis=1), counts[present].astype(model.params.dtype)
+
+    train_inputs, train_weights = part(train_counts)
+    val_inputs, val_weights = part(val_counts)
 
     report = TrainReport(
         split_seed=split_seed,
         config={**asdict(settings), "n_samples": m, "n_train": int(m - n_val), "n_val": int(n_val)},
     )
     if n_val:
-        rows = np.moveaxis(x, 1, 0).reshape(m, -1)  # one row per sample, all graphs side by side
-        seen = {rows[i].tobytes() for i in train_idx}
-        report.validation_copy_share = float(np.mean([rows[i].tobytes() in seen for i in val_idx]))
+        report.validation_copy_share = float(np.mean(train_counts[inverse[val_idx]] > 0))
+        report.distinct_rows = {"train": len(train_weights), "val": len(val_weights)}
 
     params = model.params
     optimizer = adam_init(params, learning_rate=settings.learning_rate)
@@ -350,7 +421,7 @@ def train(
     best_val = np.inf
     stall = 0
     for epoch in range(1, settings.max_epochs + 1):
-        loss, grad = model.loss_and_gradients(train_inputs)
+        loss, grad = model.loss_and_gradients(train_inputs, train_weights)
         if not np.isfinite(loss):
             report.stop_epoch = epoch
             report.stop_reason = "non_finite_loss"
@@ -358,9 +429,9 @@ def train(
         adam_step(optimizer, params, grad)
         report.train_losses.append(loss)
         report.stop_epoch = epoch
-        if val_inputs is None:
+        if not n_val:
             continue
-        val_loss = model.reconstruction_loss(val_inputs)
+        val_loss = model.reconstruction_loss(val_inputs, val_weights)
         if not np.isfinite(val_loss):
             report.stop_reason = "non_finite_loss"
             raise TrainingDiverged(f"non-finite validation loss at epoch {epoch}", report)
@@ -416,12 +487,18 @@ def extract_embeddings(
     universe: Sequence[str],
     window_ends: Sequence[int],
 ) -> EmbeddingFrame:
-    """One embedding per sample row; row ``d * len(universe) + a`` becomes ``vectors[d, a]``."""
+    """One embedding per sample row; row ``d * len(universe) + a`` becomes ``vectors[d, a]``.
+
+    Each distinct row (``distinct_rows``) is encoded once and its vector given
+    to every copy, so copies get bitwise-equal vectors.
+    """
     x = _check_samples(model, samples)
     n = len(universe)
     if x.shape[1] != len(window_ends) * n:
         raise ValueError(f"{x.shape[1]} sample rows, expected {len(window_ends)} dates x {n} assets")
-    return EmbeddingFrame(universe, window_ends, model.encode_batch(x).reshape(len(window_ends), n, -1))
+    distinct, inverse = distinct_rows(x)
+    vectors = model.encode_batch(distinct)[inverse]
+    return EmbeddingFrame(universe, window_ends, vectors.reshape(len(window_ends), n, -1))
 
 
 def save_model(model: FusionModel, path: str | Path) -> None:

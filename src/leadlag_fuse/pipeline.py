@@ -11,8 +11,9 @@ Pairwise cosine similarity series and a 2-D PCA projection are derived from
 the embeddings.
 
 The ``write_*`` and ``load_*`` functions here define the artifact formats,
-the graph index ``graphs.json`` among them: it lists the run's graphs, and
-``load_graph_artifacts`` reads those edge lists and no others.
+the graph index ``graphs.json`` among them: it lists the run's graphs and the
+settings that built them, and ``load_graph_artifacts`` reads those edge lists
+and no others, for a config with those settings.
 Nothing in this module writes a run directory: the CLI stages call the
 writers and are the only code that does.
 """
@@ -573,9 +574,21 @@ def _edge_list_path(run_dir: Path, spec: LagSpec, window_end: int) -> Path:
     return run_dir / "graphs" / spec.tag / f"{window_end}.csv"
 
 
-def write_graph_artifacts(graphs: Sequence[LeadLagGraph], run_dir: str | Path) -> None:
+def _graph_config(config: RunConfig) -> dict:
+    """The settings besides ``specs`` that the graphs depend on, by config key, as ``graphs.json`` records them."""
+    return json.loads(json.dumps({
+        "data.base_period_minutes": config.data.base_period_minutes,
+        "states": config.states,
+        "uncorrected_p": config.uncorrected_p,
+        "window_ends": config.window_ends,
+        "window_minutes": config.window_minutes,
+    }))
+
+
+def write_graph_artifacts(graphs: Sequence[LeadLagGraph], run_dir: str | Path, config: RunConfig) -> None:
     """Replace the run's ``graphs/`` and its index ``graphs.json`` with these graphs, the index last.
 
+    The index also records the settings of ``config`` that built the graphs.
     The old index goes first and the new one is renamed into place once every
     edge list it lists is whole, so a graph stage that crashes leaves none.
     """
@@ -586,17 +599,19 @@ def write_graph_artifacts(graphs: Sequence[LeadLagGraph], run_dir: str | Path) -
     for g in graphs:
         leadlag.write_graph(g, _edge_list_path(run_dir, g.spec, g.window_end))
     entries = [{"spec": asdict(g.spec), **{key: getattr(g, key) for key in _INDEX_FIELDS}} for g in graphs]
-    text = json.dumps({"assets": list(graphs[0].assets), "graphs": entries}, indent=2, sort_keys=True)
+    index = {"assets": list(graphs[0].assets), "config": _graph_config(config), "graphs": entries}
+    text = json.dumps(index, indent=2, sort_keys=True)
     partial = run_dir / f"{GRAPH_INDEX}.partial"
     partial.write_text(text + "\n", encoding="utf-8")
     os.replace(partial, run_dir / GRAPH_INDEX)
 
 
-def load_graph_artifacts(run_dir: str | Path, specs: Sequence[LagSpec]) -> list[LeadLagGraph]:
+def load_graph_artifacts(run_dir: str | Path, config: RunConfig) -> list[LeadLagGraph]:
     """The graphs that the run's ``graphs.json`` lists, each read from its edge list; nothing else.
 
-    ``FileNotFoundError`` when no graph stage has finished or the index's specs
-    are not ``specs``; ``ValueError`` naming ``graphs.json`` when it is malformed.
+    ``FileNotFoundError`` when no graph stage has finished, or when the index's
+    specs are not ``config.specs`` or it records another value of a setting
+    the graphs depend on; ``ValueError`` naming ``graphs.json`` when it is malformed.
     """
     index_path = Path(run_dir) / GRAPH_INDEX
     if not index_path.exists():
@@ -604,17 +619,24 @@ def load_graph_artifacts(run_dir: str | Path, specs: Sequence[LagSpec]) -> list[
     try:
         index = json.loads(index_path.read_text(encoding="utf-8"))
         assets = tuple(index["assets"])
+        recorded = dict(index.get("config", {}))  # an index without the record predates it: stale, not malformed
         entries = [(LagSpec(**e["spec"]), *(kind(e[key]) for key, kind in _INDEX_FIELDS.items())) for e in index["graphs"]]
     except KeyError as exc:
         raise ValueError(f"{GRAPH_INDEX}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:  # malformed JSON, or a value of the wrong kind
         raise ValueError(f"{GRAPH_INDEX}: {exc}") from exc
     listed = {entry[0] for entry in entries}
-    if listed != set(specs):
+    if listed != set(config.specs):
         names = lambda group: sorted(s.tag if s.window_rows is None else f"{s.tag}/{s.window_rows}rows" for s in group)
         raise FileNotFoundError(
-            f"{GRAPH_INDEX} holds graphs of specs {names(listed)}, the config asks for {names(specs)} (run 'graphs' first)"
+            f"{GRAPH_INDEX} holds graphs of specs {names(listed)}, the config asks for {names(config.specs)} (run 'graphs' first)"
         )
+    for key, wanted in _graph_config(config).items():
+        if recorded.get(key) != wanted:
+            raise FileNotFoundError(
+                f"{GRAPH_INDEX} holds graphs built with {key} {json.dumps(recorded.get(key))}, "
+                f"the config asks for {json.dumps(wanted)} (run 'graphs' first)"
+            )
     graphs = []
     for spec, end, links, sample_size, threshold in entries:
         weights = leadlag.load_edge_list(_edge_list_path(index_path.parent, spec, end), assets)

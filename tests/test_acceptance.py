@@ -326,7 +326,14 @@ def test_fixture_artifacts_digest(fixture_run):
     updates the value and says why. The second digest also leaves out the
     graph index ``graphs.json``, whose ``threshold_bits`` records the
     threshold to its last bit, so it pins the edge lists and everything
-    built from them whatever the last bits of the threshold solve.
+    built from them whatever the last bits of the threshold solve. The third
+    pins ``panel.csv`` and the edge lists alone, the graph stage's output.
+
+    The first two changed when training moved to the distinct sample rows,
+    weighted by their counts (the same objective, other rounding), which
+    changes the last bits of ``model.json``, ``embeddings.csv``, ``pca.csv``
+    and ``similarity/``, and when ``graphs.json`` began to record the
+    settings that built the graphs. The third did not change.
     """
     run1 = fixture_run["run1"]
     files = sorted(p for p in run1.rglob("*") if p.is_file())
@@ -339,10 +346,13 @@ def test_fixture_artifacts_digest(fixture_run):
         return sha.hexdigest()
 
     hashed = [p for p in files if p.relative_to(run1).as_posix() != "report.json"]
-    assert digest(hashed) == "8ee11cc75b768369351ee15f7470d14740d0a3dc69ca529572a480aab859f077"
+    assert digest(hashed) == "c1772db97672534c51ffd95dbf89c077109eab1681b2623c2160000ae9f5dc11"
     without_index = [p for p in hashed if p.relative_to(run1).as_posix() != "graphs.json"]
     assert len(without_index) == 229
-    assert digest(without_index) == "fa0b471adb187f1983daeff31e559cf0160249f0a72d1405a786b5d21ce95fd2"
+    assert digest(without_index) == "6325408cc9be7ee7b2e24aa2d42ef082b9b844a7db97425d9ffaeb1947a934bd"
+    graph_stage = [p for p in files if p.name == "panel.csv" or p.parent.parent.name == "graphs"]
+    assert len(graph_stage) == 181
+    assert digest(graph_stage) == "a62d5ef9dfc7e3aa1d7874336633438fd2b6fba9bf85d018fad5c2d26d37e8b5"
 
 
 def test_crit_12_pca():

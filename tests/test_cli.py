@@ -411,7 +411,7 @@ class TestCliDispatch:
         assert main(["--config", str(config_path), "--out", str(out), "--quiet", "run-all"]) == EXIT_OK
         config = load_config(config_path)
         result = run_dynamic_fusion(config, load_prices(sorted((root / "prices").glob("*.csv"))))
-        written = {(g.spec.tag, g.window_end): g for g in load_graph_artifacts(out, config.specs)}
+        written = {(g.spec.tag, g.window_end): g for g in load_graph_artifacts(out, config)}
         assert sorted(written) == sorted((g.spec.tag, g.window_end) for g in result.graphs)
         for graph in result.graphs:
             assert np.array_equal(written[(graph.spec.tag, graph.window_end)].weights, graph.weights)
@@ -729,3 +729,51 @@ class TestGraphIndexIsTheCommitPoint:
         assert "graphs.json holds graphs of specs ['d1_T0', 'd1_T1', 'd1_T2', 'd5_T0', 'd5_T1', 'd5_T2']" in err
         assert f"the config asks for {asked}" in err
         assert (out / "embeddings.csv").read_bytes() == (finished_run / "embeddings.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "assignment, key, built, asked",
+        [
+            ("states=3", "states", "4", "3"),
+            ("uncorrected_p=0.05", "uncorrected_p", "0.01", "0.05"),
+            ("window_minutes=720", "window_minutes", "1440", "720"),
+            ("window_ends=[LAST]", "window_ends", '"daily"', "[LAST]"),
+        ],
+        ids=["states", "uncorrected_p", "window_minutes", "window_ends"],
+    )
+    def test_fuse_refuses_graphs_built_under_other_settings(
+        self, workspace, finished_run, tmp_path, capsys, assignment, key, built, asked
+    ):
+        _, config_path = workspace
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        last = str(json.loads((out / "report.json").read_text())["graphs"]["usable_window_ends"][-1])
+        assignment, asked = assignment.replace("LAST", last), asked.replace("LAST", last)
+        code = main(["--config", str(config_path), "--out", str(out), "--quiet", "--set", assignment, "fuse"])
+        assert code == EXIT_MISSING_INPUT
+        assert f"graphs.json holds graphs built with {key} {built}, the config asks for {asked}" in capsys.readouterr().err
+        assert (out / "embeddings.csv").read_bytes() == (finished_run / "embeddings.csv").read_bytes()
+        assert (out / "report.json").read_bytes() == (finished_run / "report.json").read_bytes()
+
+    def test_fuse_refuses_an_index_without_the_settings_record(self, workspace, finished_run, tmp_path, capsys):
+        # an index written before graphs.json recorded the settings is stale, not malformed
+        _, config_path = workspace
+        out = tmp_path / "run"
+        shutil.copytree(finished_run, out)
+        index = json.loads((out / "graphs.json").read_text(encoding="utf-8"))
+        del index["config"]
+        (out / "graphs.json").write_text(json.dumps(index), encoding="utf-8")
+        code = main(["--config", str(config_path), "--out", str(out), "--quiet", "fuse"])
+        assert code == EXIT_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert "graphs.json holds graphs built with data.base_period_minutes null, the config asks for 1 (run 'graphs' first)" in err
+        assert (out / "embeddings.csv").read_bytes() == (finished_run / "embeddings.csv").read_bytes()
+
+    def test_graph_index_records_the_settings_that_built_the_graphs(self, finished_run):
+        index = json.loads((finished_run / "graphs.json").read_text(encoding="utf-8"))
+        assert index["config"] == {
+            "data.base_period_minutes": 1,
+            "states": 4,
+            "uncorrected_p": 0.01,
+            "window_ends": "daily",
+            "window_minutes": 1440,
+        }

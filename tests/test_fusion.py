@@ -19,6 +19,7 @@ from leadlag_fuse.fusion import (
     save_model,
     train,
 )
+from leadlag_fuse.pipeline import cosine_similarity
 
 TINY = FusionArchitecture(graph_count=2, input_dim=5, per_graph_dims=(4, 3), shared_dims=(4,), embedding_dim=3)
 
@@ -278,6 +279,79 @@ class TestGradients:
         assert peak < 5.5 * 2**20
 
 
+def repeated_rows(rng, distinct=5, copies=(1, 4, 2, 3, 6)):
+    """Graph-major samples of ``distinct`` rows, row ``k`` repeated ``copies[k]`` times, shuffled."""
+    base = make_samples(rng, distinct)
+    order = rng.permutation(np.repeat(np.arange(distinct), copies))
+    return np.take(base, order, axis=1)
+
+
+class TestDistinctRows:
+    """Training on the distinct rows weighted by their counts is training on all rows."""
+
+    def test_rows_are_whole_samples_compared_in_every_graph(self):
+        samples = repeated_rows(np.random.default_rng(40))
+        _, before = fusion.distinct_rows(samples)
+        row = np.flatnonzero(before == np.bincount(before).argmax())[0]  # a row with 5 copies
+        samples[1, row] += 1.0  # ... now differs from them in the second graph only
+        distinct, inverse = fusion.distinct_rows(samples)
+        assert np.array_equal(np.take(distinct, inverse, axis=1), samples)
+        assert distinct.shape == (2, 6, 5) and distinct.flags.c_contiguous
+        assert np.count_nonzero(inverse == inverse[row]) == 1
+
+    def test_weighted_distinct_rows_give_the_loss_and_gradient_of_all_rows(self):
+        rng = np.random.default_rng(41)
+        model = FusionModel(TINY, seed=41)
+        model.params += 0.05 * rng.standard_normal(model.params.size)
+        samples = repeated_rows(rng)
+        distinct, inverse = fusion.distinct_rows(samples)
+        counts = np.bincount(inverse)
+        assert counts.tolist() != [1] * len(counts)
+        loss, grad = model.loss_and_gradients(distinct, counts)
+        all_loss, all_grad = model.loss_and_gradients(samples)
+        assert loss == pytest.approx(all_loss, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(grad, all_grad, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(model.graph_losses(distinct, counts), model.graph_losses(samples), rtol=1e-12, atol=0.0)
+        assert model.reconstruction_loss(distinct, counts) == pytest.approx(model.reconstruction_loss(samples), rel=1e-12, abs=0.0)
+
+    def test_unit_weights_are_the_unweighted_loss(self):
+        model = FusionModel(TINY, seed=42)
+        samples = make_samples(np.random.default_rng(42), 6)
+        loss, grad = model.loss_and_gradients(samples, np.ones(6))
+        unweighted_loss, unweighted_grad = model.loss_and_gradients(samples)
+        assert loss == unweighted_loss and np.array_equal(grad, unweighted_grad)
+        assert model.graph_losses(samples, np.ones(6)) == model.graph_losses(samples)
+
+    def test_weighted_gradients_match_finite_differences(self):
+        model = FusionModel(TINY, seed=0)
+        rng = np.random.default_rng(1000)
+        model.params += 0.05 * rng.standard_normal(model.params.size)
+        samples = np.ascontiguousarray((rng.random((3, 2, 5)) + 0.05).transpose(1, 0, 2))
+        weights = np.array([0.5, 3.0, 1.75])
+        _, grad = model.loss_and_gradients(samples, weights)
+        numeric = central_difference_grads(lambda: model.reconstruction_loss(samples, weights), [model.params], h=1e-5)
+        assert max_relative_error([grad], numeric, floor=1e-8) < 1e-4
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0, -1.0, 2.0], "nonnegative"),
+            ([1.0, np.nan, 2.0], "finite"),
+            ([1.0, np.inf, 2.0], "finite"),
+            ([0.0, 0.0, 0.0], "positive sum"),
+            ([1.0, 2.0], r"expected \(3,\)"),
+            ([[1.0, 2.0, 3.0]], r"expected \(3,\)"),
+        ],
+        ids=["negative", "nan", "inf", "all_zero", "too_short", "two_dimensional"],
+    )
+    @pytest.mark.parametrize("method", ["loss_and_gradients", "graph_losses", "reconstruction_loss"])
+    def test_bad_weights_refused(self, method, weights, message):
+        model = FusionModel(TINY, seed=43)
+        samples = make_samples(np.random.default_rng(43), 3)
+        with pytest.raises(ValueError, match=message):
+            getattr(model, method)(samples, np.array(weights))
+
+
 class TestPrecision:
     """A model computes in its ``params`` dtype; float64 is the reference the float32 model must track."""
 
@@ -378,10 +452,13 @@ class TestTrain:
         # best is tracked with min_delta slack, so it sits within that of the minimum
         assert report.best_val_loss <= min(report.val_losses) + 1e-6
         assert report.best_val_loss <= report.val_losses[0]
-        # the model holds the best epoch's weights, not the last epoch's
+        # the model holds the best epoch's weights, not the last epoch's; the validation
+        # loss is that of the part's distinct rows weighted by their counts
         perm = np.random.default_rng(3).permutation(samples.shape[1])
         val_rows = samples[:, perm[samples.shape[1] - report.config["n_val"] :]]
-        assert model.reconstruction_loss(val_rows) == report.best_val_loss
+        distinct, inverse = fusion.distinct_rows(val_rows)
+        assert model.reconstruction_loss(distinct, np.bincount(inverse)) == report.best_val_loss
+        assert model.reconstruction_loss(val_rows) == pytest.approx(report.best_val_loss, rel=1e-12, abs=0.0)
 
     def test_validation_copy_share_counts_exact_copies_across_all_graphs(self):
         half = make_samples(np.random.default_rng(16), 10)
@@ -420,6 +497,19 @@ class TestEmbeddings:
         assert frame.vectors.shape == (2, 4, TINY.embedding_dim)
         # identical feature rows on both dates give identical embeddings
         assert np.array_equal(frame.vectors[0], frame.vectors[1])
+
+    def test_copies_get_bitwise_equal_vectors(self):
+        model = FusionModel(TINY, seed=44, dtype=np.float32)
+        model.params += (0.05 * np.random.default_rng(44).standard_normal(model.params.size)).astype(np.float32)
+        samples = repeated_rows(np.random.default_rng(44), distinct=4, copies=(2, 5, 1, 4))  # 3 dates x 4 assets
+        _, inverse = fusion.distinct_rows(samples)
+        vectors = extract_embeddings(model, samples, ["A0", "A1", "A2", "A3"], [100, 200, 300]).vectors.reshape(12, -1)
+        for k in range(4):
+            copies = vectors[inverse == k]
+            assert (copies == copies[0]).all()
+        first, second = np.flatnonzero(inverse == np.bincount(inverse).argmax())[:2]
+        # the cosine of two copies is that of a vector with itself, which cosine_matrix rounds to 1.0 or up to 2.2e-16 below
+        assert cosine_similarity(vectors[first], vectors[second]) == pytest.approx(1.0, rel=0.0, abs=2.0**-52)
 
     def test_rows_are_date_major(self):
         model = FusionModel(TINY, seed=19)

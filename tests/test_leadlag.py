@@ -23,7 +23,7 @@ from leadlag_fuse.leadlag import (
     write_graph,
 )
 from leadlag_fuse.market_data import MS_PER_MINUTE, ReturnMatrix
-from leadlag_fuse.pipeline import load_graph_artifacts, write_graph_artifacts
+from leadlag_fuse.pipeline import RunConfig, load_graph_artifacts, write_graph_artifacts
 
 T0 = 1_609_459_200_000
 
@@ -325,8 +325,9 @@ class TestGraphConstruction:
         end = int(rm.timestamps[-1])
         graphs = [build_graph(rm, LagSpec(1, 1), end, 0.01), build_graph(rm, LagSpec(1, 0, window_rows=722), end, 0.01)]
         assert graphs[0].validated_link_count > 0
-        write_graph_artifacts(graphs, tmp_path)
-        loaded = load_graph_artifacts(tmp_path, [g.spec for g in graphs])
+        config = RunConfig(specs=[g.spec for g in graphs])
+        write_graph_artifacts(graphs, tmp_path, config)
+        loaded = load_graph_artifacts(tmp_path, config)
         assert len(loaded) == len(graphs)
         for graph, back in zip(graphs, loaded):
             for f in fields(LeadLagGraph):

@@ -9,7 +9,7 @@ import pytest
 from oracles import lagged_mi_matrix_reference, similarity_csv_oracle
 from leadlag_fuse import leadlag, pipeline as pipeline_module
 from leadlag_fuse.diffusion import node_features
-from leadlag_fuse.fusion import EmbeddingFrame, load_model, save_model
+from leadlag_fuse.fusion import EmbeddingFrame, extract_embeddings, load_model, save_model
 from leadlag_fuse.leadlag import LagSpec
 from leadlag_fuse.market_data import MS_PER_MINUTE, PricePanel, log_returns
 from leadlag_fuse.pipeline import (
@@ -277,7 +277,7 @@ class TestFloat32Fit:
         loaded = load_model(tmp_path / "model.json")
         assert loaded.params.dtype == np.float32
         assert np.array_equal(loaded.params, model.params)
-        assert np.array_equal(loaded.encode_batch(samples).reshape(frame.vectors.shape), frame.vectors)
+        assert np.array_equal(extract_embeddings(loaded, samples, frame.universe, frame.window_ends).vectors, frame.vectors)
 
     def test_report_holds_the_fit_quality(self, fixture_fit):
         config, _, _, report, _ = fixture_fit
@@ -287,8 +287,10 @@ class TestFloat32Fit:
         assert 0.999 < shares["overall"] < 1.0
         # only A00 and A01 are linked, in d1_T1 and d5_T0: on every date 4 of the 6 x 10 rows are not one-hot
         assert report.one_hot_row_share == 56 / 60
-        # every asset's row repeats on other dates, so each validation row has a copy in training
+        # every asset's row repeats on other dates, so each validation row has a copy in training,
+        # and both parts train or validate on the 10 distinct rows
         assert report.validation_copy_share == 1.0
+        assert report.distinct_rows == {"train": 10, "val": 10}
 
     def test_one_hot_rows_are_rows_of_their_own_asset_alone(self):
         samples = np.zeros((1, 4, 2))  # two dates of two assets
