@@ -24,7 +24,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
@@ -218,7 +218,7 @@ def stage_ingest(out_dir: Path, config: RunConfig, config_dir: Path) -> PricePan
         {"assets": list(panel.assets), "rows": int(panel.timestamps.size), "base_period_minutes": base},
         config,
     )
-    return panel
+    return replace(panel, text=None)  # the text is for the panel file only: run-all's graph stage reads the floats
 
 
 def stage_graphs(out_dir: Path, config: RunConfig, panel: PricePanel | None = None, threads: int = 1):

@@ -5,11 +5,14 @@ are epoch milliseconds on a uniform base-period grid. Assets are aligned on
 the intersection of their covered time ranges, interior gaps are filled with
 the last observed price, and assets are ordered lexicographically.
 Both price formats, these files and the aligned panel, are written here too.
+The panel file copies each price as its input file spells it, so writing it
+formats no float.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -39,6 +42,9 @@ class PricePanel:
     assets: tuple[str, ...]
     prices: np.ndarray  # (p + 1, n) strictly positive
     period_minutes: int
+    # Each asset's prices as its input file spells them, a (p + 1,) bytes array per asset, which
+    # ``write_panel_csv`` copies into the panel file; None where the panel was not read from files.
+    text: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.timestamps, dtype=np.int64)
@@ -62,6 +68,12 @@ class PricePanel:
             raise ValueError(f"prices shape {prices.shape} does not match {(ts.size, len(self.assets))}")
         if not np.all(np.isfinite(prices)) or np.any(prices <= 0.0):
             raise ValueError("all prices must be finite and strictly positive")
+        if self.text is not None:
+            object.__setattr__(self, "text", tuple(np.asarray(t) for t in self.text))
+            if len(self.text) != len(self.assets) or any(
+                t.dtype.kind != "S" or t.shape != ts.shape for t in self.text
+            ):
+                raise ValueError(f"text must hold one bytes array of {ts.size} cells per asset")
 
     @property
     def n_assets(self) -> int:
@@ -93,7 +105,13 @@ class ReturnMatrix:
         return len(self.assets)
 
 
-_PRICE_ROW = np.dtype([("timestamp", np.int64), ("price", np.float64)])
+# A price is read twice from one field: as a float, and as the bytes of its
+# spelling, at most _TEXT_WIDTH of them. A positive float's repr is at most 23 bytes.
+_TEXT_WIDTH = 24
+_PRICE_ROW = np.dtype([("timestamp", np.int64), ("price", np.float64), ("text", f"S{_TEXT_WIDTH}")])
+_PRICE_ONLY_ROW = np.dtype([("timestamp", np.int64), ("price", np.float64)])
+# bytes a spelling may hold to be copied into a CSV cell as it is; NUL pads a short token
+_VERBATIM = bytes([0, *range(0x20, 0x7F)])
 
 
 def _read_header(path: Path) -> tuple[list[str], bool]:
@@ -121,13 +139,44 @@ def _read_body(path: Path, row: np.dtype, usecols: tuple[int, ...] | None = None
         raise ValueError(f"{path.name}: malformed or unparseable row: {exc}") from exc
 
 
-def _read_price_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
+def _repr_text(values: np.ndarray) -> np.ndarray:
+    """Each float's ``repr``, as bytes: the cells of a price column written from its values."""
+    return np.array([repr(v) for v in values.tolist()], dtype=np.bytes_)
+
+
+def _verbatim_text(field: np.ndarray) -> np.ndarray | None:
+    """A file's price spellings narrowed to its longest one, or None where they cannot be copied as read.
+
+    A token that fills the field may have been cut short. A byte outside
+    printable ASCII would not read back as the same cell: a line break
+    inside quotes splits the row, and a Latin-1 byte is not UTF-8.
+    """
+    width = int(np.char.str_len(field).max())
+    if width >= _TEXT_WIDTH:
+        return None
+    text = field.astype(f"S{width}")
+    return None if text.tobytes().translate(None, _VERBATIM) else text
+
+
+def _read_price_file(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One file's timestamps, prices and each price's spelling, sorted by timestamp.
+
+    The spelling is the field as the file holds it, quotes removed, or the
+    price's ``repr`` where ``_verbatim_text`` refuses the file's spellings.
+    """
     header, has_rows = _read_header(path)
     if [h.strip().lower() for h in header[:2]] != ["timestamp", "price"]:
         raise ValueError(f"{path.name}: expected header 'timestamp,price'")
     if not has_rows:
         raise ValueError(f"{path.name}: file contains no price rows")
-    rows = _read_body(path, _PRICE_ROW, usecols=(0, 1))
+    try:
+        rows = _read_body(path, _PRICE_ROW, usecols=(0, 1, 1))
+    except ValueError:
+        # The bytes field refuses a character beyond Latin-1 (a Unicode space) that the float
+        # field reads past; a second read of the prices alone raises any real parse error.
+        rows, text = _read_body(path, _PRICE_ONLY_ROW, usecols=(0, 1)), None
+    else:
+        text = _verbatim_text(rows["text"])
     ts_arr, px_arr = rows["timestamp"], rows["price"]
     bad = ~(np.isfinite(px_arr) & (px_arr > 0.0))
     if bad.any():
@@ -140,7 +189,7 @@ def _read_price_file(path: Path) -> tuple[np.ndarray, np.ndarray]:
     dup = np.nonzero(np.diff(ts_arr) == 0)[0]
     if dup.size:
         raise ValueError(f"{path.name}: duplicate timestamp {ts_arr[dup[0]]}")
-    return ts_arr, px_arr
+    return ts_arr, px_arr, _repr_text(px_arr) if text is None else text[order]
 
 
 def load_prices(
@@ -153,7 +202,17 @@ def load_prices(
     The panel covers the intersection of all assets' time ranges; interior
     gaps are forward-filled from the last observed price. Rejects files with
     no rows, non-positive prices, off-grid timestamps, or an overlap shorter
-    than ``min_rows`` grid points.
+    than ``min_rows`` grid points. Its ``text`` holds each price as its file
+    spells it (see ``_read_price_file``).
+
+    The files are read one at a time, in asset order, and each is checked
+    before the next is read, so the first bad file in that order is named.
+    Each file's column is filled on the running intersection of the ranges
+    read so far. That range only loses rows at its ends, so a column filled
+    earlier is still right on the rows that remain. The prices go into one
+    column-major block spanning the first file's range, of which only the
+    written rows become resident, and the panel's ``prices`` are the final
+    range's rows of it (each asset's column contiguous).
     """
     paths = sorted((Path(p) for p in sources), key=lambda p: p.stem)
     if len(paths) < 2:
@@ -165,27 +224,40 @@ def load_prices(
         raise ValueError(f"base_period_minutes must be positive, got {base_period_minutes}")
 
     step = base_period_minutes * MS_PER_MINUTE
-    series = [_read_price_file(p) for p in paths]
-    phase = int(series[0][0][0] % step)
-    for name, (ts, _) in zip(names, series):
+    spellings: list[tuple[int, np.ndarray]] = []  # (first grid point, spellings on the running range) per asset
+    for j, (name, path) in enumerate(zip(names, paths)):
+        ts, px, spelled = _read_price_file(path)
+        if j == 0:
+            phase, origin, start, end = int(ts[0] % step), int(ts[0]), int(ts[0]), int(ts[-1])
+            block = np.empty(((end - start) // step + 1, len(paths)), order="F")
         off = ts % step
         if np.any(off != phase):
             bad = int(np.argmax(off != phase))
             raise ValueError(f"{name}: timestamp {ts[bad]} is off the {step} ms grid")
+        start, end = max(start, int(ts[0])), min(end, int(ts[-1]))
+        grid = np.arange(start, end + 1, step, dtype=np.int64)
+        idx = np.searchsorted(ts, grid, side="right") - 1  # last observation at or before each grid point
+        first = (start - origin) // step
+        block[first : first + grid.size, j] = px[idx]
+        spellings.append((start, spelled[idx]))
 
-    start = max(int(ts[0]) for ts, _ in series)
-    end = min(int(ts[-1]) for ts, _ in series)
     if end < start or (end - start) // step + 1 < min_rows:
         raise ValueError(
             f"common overlap [{start}, {end}] is shorter than {min_rows} grid points"
         )
-    grid = np.arange(start, end + 1, step, dtype=np.int64)
-
-    prices = np.empty((grid.size, len(paths)), dtype=float)
-    for j, (ts, px) in enumerate(series):
-        idx = np.searchsorted(ts, grid, side="right") - 1
-        prices[:, j] = px[idx]  # last observation at or before each grid point
-    return PricePanel(timestamps=grid, assets=tuple(names), prices=prices, period_minutes=base_period_minutes)
+    rows = (end - start) // step + 1
+    text = []
+    for begin, spelled in spellings:
+        cut = spelled[(start - begin) // step :][:rows]
+        text.append(cut if cut.size == spelled.size else cut.copy())  # a copy lets the longer column go
+    first = (start - origin) // step
+    return PricePanel(
+        timestamps=np.arange(start, end + 1, step, dtype=np.int64),
+        assets=tuple(names),
+        prices=block[first : first + rows],
+        period_minutes=base_period_minutes,
+        text=tuple(text),
+    )
 
 
 def resample(panel: PricePanel, period_minutes: int) -> PricePanel:
@@ -230,34 +302,39 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_price_table(path: Path, columns: Sequence[str], timestamps: np.ndarray, prices: np.ndarray) -> None:
-    """A ``timestamp,<columns>`` CSV as ``csv.writer`` writes it: CRLF line ends, each price its float ``repr``.
+def _write_table(path: Path, header: Sequence[str], timestamps: np.ndarray, columns: Sequence[np.ndarray]) -> None:
+    """A CSV as ``csv.writer`` writes it, CRLF line ends: the header, then each timestamp and its cells.
 
-    Blocks of ~2**11 cells: one tolist() of the whole matrix would hold a Python
-    float per cell, and one numpy call per row costs more than a short row's text.
+    ``columns`` holds one bytes array per column after the timestamp, each
+    cell written as it is. Blocks of ~2**12 cells: one ``tolist`` per column
+    and block turns the cells into bytes objects, and a join per row writes
+    them; larger blocks were no faster and held megabytes of those objects.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    width = prices.shape[1]
-    block = max(1, (1 << 11) // width)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["timestamp", *columns])
-        for start in range(0, len(timestamps), block):
-            cells = map(repr, prices[start : start + block].ravel().tolist())
-            # zip over ``width`` references to one iterator takes each row's cells in turn
-            rows = zip(map(str, timestamps[start : start + block].tolist()), *[cells] * width)
-            fh.write("".join(map("{}\r\n".format, map(",".join, rows))))
+    line = io.StringIO()
+    csv.writer(line).writerow(header)
+    stamps = timestamps.astype(np.bytes_)
+    block = max(1, (1 << 12) // max(1, len(columns)))
+    with open(path, "wb") as fh:
+        fh.write(line.getvalue().encode("utf-8"))
+        for start in range(0, len(stamps), block):
+            cells = [column[start : start + block].tolist() for column in columns]
+            rows = map(b",".join, zip(stamps[start : start + block].tolist(), *cells))
+            fh.write(b"".join(map(b"%s\r\n".__mod__, rows)))
 
 
 def write_price_files(panel: PricePanel, out_dir: str | Path) -> list[Path]:
-    """One ``timestamp,price`` CSV per asset, named after it, as ``load_prices`` reads them."""
+    """One ``timestamp,price`` CSV per asset, named after it, each price its ``repr``, as ``load_prices`` reads them."""
     paths = [Path(out_dir) / f"{asset}.csv" for asset in panel.assets]
     for path, column in zip(paths, panel.prices.T):
-        _write_price_table(path, ["price"], panel.timestamps, column[:, np.newaxis])
+        _write_table(path, ["timestamp", "price"], panel.timestamps, [_repr_text(column)])
     return paths
 
 
 def write_panel_csv(panel: PricePanel, path: str | Path) -> None:
-    _write_price_table(Path(path), panel.assets, panel.timestamps, panel.prices)
+    """The panel as ``timestamp,<asset>,...``: each price as ``panel.text`` spells it, else its ``repr``."""
+    columns = panel.text if panel.text is not None else [_repr_text(column) for column in panel.prices.T]
+    _write_table(Path(path), ["timestamp", *panel.assets], panel.timestamps, columns)
 
 
 def load_panel_csv(path: str | Path) -> PricePanel:

@@ -372,6 +372,17 @@ class TestCliDispatch:
         assert report["graphs"]["link_counts"]
         assert report["graphs"]["skips"]  # the warm-up day is skipped with a reason
 
+    def test_ingest_copies_the_price_cells_and_returns_no_text(self, workspace):
+        root, config_path = workspace
+        out = root / "ingest_text"
+        panel = cli.stage_ingest(out, load_config(config_path), config_path.parent)
+        assert panel.text is None
+        assert panel.prices.tobytes() == load_prices(sorted((root / "prices").glob("*.csv"))).prices.tobytes()
+        columns = list(zip(*(line.split(b",") for line in (out / "panel.csv").read_bytes().split(b"\r\n")[:-1])))
+        for asset, column in zip(panel.assets, columns[1:]):
+            price_lines = (root / "prices" / f"{asset}.csv").read_bytes().split(b"\r\n")[:-1]
+            assert column == (asset.encode(), *(line.split(b",")[1] for line in price_lines[1:]))
+
     def test_report_records_the_fit_quality(self, workspace):
         root, config_path = workspace
         out = root / "quality"

@@ -192,6 +192,122 @@ class TestPriceFileFormat:
         assert np.array_equal(panel.prices.view(np.int64), prices.view(np.int64))
 
 
+def panel_cells(path, column):
+    """The cells of one column of a panel file, as bytes, row by row."""
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[-1] == b""
+    return [line.split(b",")[column] for line in lines[1:-1]]
+
+
+def aligned_reference(paths, step=MS_PER_MINUTE):
+    """Timestamps and prices as load_prices aligned them when it held every file at once."""
+    series = []
+    for path in paths:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.float64, ndmin=2)
+        order = np.argsort(rows[:, 0], kind="stable")
+        series.append((rows[order, 0].astype(np.int64), rows[order, 1]))
+    start = max(int(ts[0]) for ts, _ in series)
+    end = min(int(ts[-1]) for ts, _ in series)
+    grid = np.arange(start, end + 1, step, dtype=np.int64)
+    prices = np.empty((grid.size, len(series)))
+    for j, (ts, px) in enumerate(series):
+        prices[:, j] = px[np.searchsorted(ts, grid, side="right") - 1]
+    return grid, prices
+
+
+class TestPanelText:
+    """``load_prices`` keeps each price as its file spells it, and ``write_panel_csv`` copies that text."""
+
+    def test_spellings_reach_the_panel_file_as_read(self, tmp_path):
+        spelled = ["100.50", "1e2", '"7.5"', " 8.25 ", "+204"]
+        text = "timestamp,price\n" + "".join(f"{minute_ts(i)},{p}\n" for i, p in enumerate(spelled))
+        panel = load_pair(tmp_path, text, name="BBB")
+        assert panel.text[1].tolist() == [b"100.50", b"1e2", b"7.5", b" 8.25 ", b"+204"]
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        assert panel_cells(tmp_path / "panel.csv", 2) == [b"100.50", b"1e2", b"7.5", b" 8.25 ", b"+204"]
+        assert panel_cells(tmp_path / "panel.csv", 1) == [b"100"] * 5
+        loaded = load_panel_csv(tmp_path / "panel.csv")
+        assert np.array_equal(loaded.prices.view(np.int64), panel.prices.view(np.int64))
+        assert np.array_equal(loaded.prices[:, 1], [100.5, 100.0, 7.5, 8.25, 204.0])
+
+    @pytest.mark.parametrize(
+        "token, shown",
+        [
+            ("100.5" + "0" * 18 + "1", "100.5"),  # 24 bytes: fills the field and may have been cut
+            ("100.5" + "0" * 40, "100.5"),  # longer than the field
+            ('"7.5\n"', "7.5"),  # a line break inside quotes
+            ("\t7.5", "7.5"),
+            ("7.5\u00a0", "7.5"),  # a no-break space, one byte in Latin-1
+            ("7.5\u2003", "7.5"),  # an em space, beyond Latin-1: the bytes field refuses it
+        ],
+        ids=["fills-field", "longer", "quoted-newline", "tab", "latin1-space", "unicode-space"],
+    )
+    def test_a_spelling_that_cannot_be_copied_gives_its_file_the_repr(self, tmp_path, token, shown):
+        text = f"timestamp,price\n{minute_ts(0)},100.50\n{minute_ts(1)},{token}\n{minute_ts(2)},1e2\n"
+        panel = load_pair(tmp_path, text, name="BBB")
+        assert panel.text[1].tolist() == [b"100.5", shown.encode(), b"100.0"]
+        assert panel.text[0].tolist() == [b"100"] * 3  # the other file keeps its own spelling
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        assert panel_cells(tmp_path / "panel.csv", 2) == [b"100.5", shown.encode(), b"100.0"]
+        loaded = load_panel_csv(tmp_path / "panel.csv")
+        assert np.array_equal(loaded.prices.view(np.int64), panel.prices.view(np.int64))
+
+    def test_a_spelling_one_byte_short_of_the_field_is_kept(self, tmp_path):
+        token = "100.5" + "0" * 17 + "1"  # 23 bytes, as long as the longest repr of a positive float
+        panel = load_pair(tmp_path, f"timestamp,price\n{minute_ts(0)},{token}\n{minute_ts(1)},7\n", name="BBB")
+        assert panel.text[1].tolist() == [token.encode(), b"7"]
+
+    def test_unsorted_file_with_gaps_forward_fills_prices_and_text(self, tmp_path):
+        rows = [(4, "104.0"), (0, "100.00"), (2, "1.02e2"), (7, "107")]
+        text = "timestamp,price\n" + "".join(f"{minute_ts(i)},{p}\n" for i, p in rows)
+        write_asset_csv(tmp_path / "AAA.csv", [(minute_ts(i), 50 + i) for i in range(9)])
+        write_raw(tmp_path / "BBB.csv", text)
+        panel = load_prices(sorted(tmp_path.glob("*.csv")))
+        assert np.array_equal(panel.timestamps, [minute_ts(i) for i in range(8)])
+        assert panel.prices[:, 1].tolist() == [100.0, 100.0, 102.0, 102.0, 104.0, 104.0, 104.0, 107.0]
+        assert panel.text[1].tolist() == [b"100.00", b"100.00", b"1.02e2", b"1.02e2", b"104.0", b"104.0", b"104.0", b"107"]
+        assert panel.text[0].tolist() == [str(50 + i).encode() for i in range(8)]
+
+    def test_a_long_first_file_gives_the_same_panel(self, tmp_path):
+        rng = np.random.default_rng(31)
+        write_asset_csv(tmp_path / "AAA.csv", [(minute_ts(i), 100 + rng.random()) for i in range(1000)])
+        for name, lo in (("BBB", 400), ("CCC", 395), ("DDD", 420)):
+            minutes = [i for i in range(lo, lo + 100) if rng.random() > 0.2 or i in (lo, lo + 99)]
+            rng.shuffle(minutes)
+            write_asset_csv(tmp_path / f"{name}.csv", [(minute_ts(i), 50 + rng.random()) for i in minutes])
+        paths = sorted(tmp_path.glob("*.csv"))
+        panel = load_prices(paths)
+        grid, prices = aligned_reference(paths)
+        assert np.array_equal(panel.timestamps, grid) and grid[0] == minute_ts(420) and grid[-1] == minute_ts(494)
+        assert np.array_equal(panel.prices.view(np.int64), prices.view(np.int64))
+        assert [t.tolist() for t in panel.text] == [[repr(p).encode() for p in col] for col in prices.T.tolist()]
+        assert all(t.base is None for t in panel.text[:3])  # cut columns are copies, not views of the longer ones
+
+    def test_an_earlier_files_grid_error_wins_over_a_later_files_parse_error(self, tmp_path):
+        # Files are read and checked one at a time, in asset order.
+        write_asset_csv(tmp_path / "AAA.csv", [(minute_ts(0), 100), (minute_ts(1) + 7, 100)])
+        write_raw(tmp_path / "BBB.csv", f"timestamp,price\n{minute_ts(0)},abc\n")
+        with pytest.raises(ValueError, match=rf"^AAA: timestamp {minute_ts(1) + 7} is off the 60000 ms grid"):
+            load_prices(sorted(tmp_path.glob("*.csv")))
+        write_raw(tmp_path / "AAA.csv", f"timestamp,price\n{minute_ts(0)},abc\n")
+        write_asset_csv(tmp_path / "BBB.csv", [(minute_ts(0), 100), (minute_ts(1) + 7, 100)])
+        with pytest.raises(ValueError, match=r"^AAA\.csv: malformed or unparseable row"):
+            load_prices(sorted(tmp_path.glob("*.csv")))
+
+    def test_panel_text_must_match_the_grid(self):
+        prices = np.full((3, 2), 7.0)
+        ts = T0 + MS_PER_MINUTE * np.arange(3)
+        text = (np.array([b"7"] * 3), np.array([b"7.0"] * 3))
+        assert [t.tolist() for t in PricePanel(ts, ("A", "B"), prices, 1, text).text] == [[b"7"] * 3, [b"7.0"] * 3]
+        for bad in (text[:1], (text[0], text[1][:2]), (text[0], np.array(["7"] * 3))):
+            with pytest.raises(ValueError, match="one bytes array of 3 cells per asset"):
+                PricePanel(ts, ("A", "B"), prices, 1, bad)
+
+    def test_resampled_panel_carries_no_text(self, tmp_path):
+        panel = load_pair(tmp_path, "timestamp,price\n" + "".join(f"{minute_ts(i)},2.50\n" for i in range(5)))
+        assert panel.text is not None and resample(panel, 2).text is None
+
+
 class TestResample:
     def test_identity_period(self):
         panel = make_panel(np.arange(1, 21).reshape(10, 2))
