@@ -2,8 +2,10 @@
 
 Subcommands:
     synth        generate a synthetic planted-coupling price universe
-    ingest       align raw price CSVs into the cached panel
-    graphs       build validated lead-lag graphs for every window and spec
+    ingest       align raw price CSVs into the cached panel (panel.npy, panel.json)
+                 and its CSV export panel.csv
+    graphs       build validated lead-lag graphs for every window and spec from
+                 the cached panel
     fuse         train the fusion autoencoder and export embeddings
     postprocess  similarity series and PCA projection from embeddings
     run-all      ingest + graphs + fuse + postprocess in one process
@@ -30,7 +32,11 @@ from types import NoneType, UnionType
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 from . import fusion, pipeline
-from .market_data import PricePanel, load_panel_csv, load_prices, write_panel_csv
+from .market_data import PANEL_INDEX, PricePanel, load_panel, load_prices, write_panel, write_panel_csv
+
+# No stage reads panel.csv back; the benchmark's tracer wraps ``cli.load_panel_csv`` by name,
+# so the name stays here until the benchmark no longer expects the CSV panel.
+from .market_data import load_panel_csv  # noqa: F401
 from .pipeline import ConfigError, DataSettings, RunConfig
 from .synthetic import generate_synthetic
 
@@ -201,6 +207,12 @@ def stage_synth(out_dir: Path, config: RunConfig, config_dir: Path) -> list[Path
 
 
 def stage_ingest(out_dir: Path, config: RunConfig, config_dir: Path) -> PricePanel:
+    """Align the price files and cache the panel: ``panel.csv``, then ``panel.npy``, then the index ``panel.json``.
+
+    The old index goes before anything is written, so an ingest that fails
+    leaves no panel for ``graphs`` to read.
+    """
+    (out_dir / PANEL_INDEX).unlink(missing_ok=True)
     prices_dir = _prices_dir(config.data, config_dir)
     if not prices_dir.is_dir():
         raise FileNotFoundError(f"prices directory not found: {prices_dir} (run 'synth' or point data.prices_dir at your data)")
@@ -211,6 +223,7 @@ def stage_ingest(out_dir: Path, config: RunConfig, config_dir: Path) -> PricePan
     longest = max(config.window_rows(spec) * (spec.period_minutes // base) for spec in config.specs)
     panel = load_prices(files, base_period_minutes=base, min_rows=longest + 1)
     write_panel_csv(panel, out_dir / "panel.csv")
+    write_panel(panel, out_dir)
     logger.info("ingested %d assets x %d rows", panel.n_assets, panel.timestamps.size)
     _update_report(
         out_dir,
@@ -218,15 +231,12 @@ def stage_ingest(out_dir: Path, config: RunConfig, config_dir: Path) -> PricePan
         {"assets": list(panel.assets), "rows": int(panel.timestamps.size), "base_period_minutes": base},
         config,
     )
-    return replace(panel, text=None)  # the text is for the panel file only: run-all's graph stage reads the floats
+    return replace(panel, text=None)  # the text is for panel.csv only: run-all's graph stage reads the floats
 
 
 def stage_graphs(out_dir: Path, config: RunConfig, panel: PricePanel | None = None, threads: int = 1):
     if panel is None:
-        panel_path = out_dir / "panel.csv"
-        if not panel_path.exists():
-            raise FileNotFoundError(f"panel cache not found: {panel_path} (run 'ingest' first)")
-        panel = load_panel_csv(panel_path)
+        panel = load_panel(out_dir)
     graphs, usable_ends, skips, flags = pipeline.build_graphs(config, panel, threads=threads)
     pipeline.write_graph_artifacts(graphs, out_dir, config)
     payload = {

@@ -51,8 +51,8 @@ class NodeFeatureSet:
     graph_id: str
 
     def __post_init__(self) -> None:
-        k = float(self.rwr.sum(axis=1).max()) if self.rwr.size else 0.0
         row_sums = self.rwr.sum(axis=1)
+        k = float(row_sums.max()) if self.rwr.size else 0.0
         if np.any(np.abs(row_sums - row_sums[0]) > 1e-9 * max(1.0, k)):
             raise ValueError("RWR rows must all sum to the step count K")
         if np.any(self.ppmi < 0.0):

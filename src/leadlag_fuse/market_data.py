@@ -4,15 +4,19 @@ Input files are one CSV per asset with header ``timestamp,price``; timestamps
 are epoch milliseconds on a uniform base-period grid. Assets are aligned on
 the intersection of their covered time ranges, interior gaps are filled with
 the last observed price, and assets are ordered lexicographically.
-Both price formats, these files and the aligned panel, are written here too.
-The panel file copies each price as its input file spells it, so writing it
-formats no float.
+The panel formats are written and read here too. The aligned panel is
+cached as a binary pair: ``panel.npy`` holds the price block as ``np.save``
+writes it, and the index ``panel.json`` names the assets and the grid. The
+CSV export ``panel.csv`` copies each price as its input file spells it, so
+writing it formats no float; no stage reads it back.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -20,9 +24,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 MS_PER_MINUTE = 60_000
+PANEL_BLOCK = "panel.npy"
+PANEL_INDEX = "panel.json"  # beside the block, written after it
 
 __all__ = [
     "MS_PER_MINUTE",
+    "PANEL_INDEX",
     "PricePanel",
     "ReturnMatrix",
     "load_prices",
@@ -31,6 +38,8 @@ __all__ = [
     "write_price_files",
     "write_panel_csv",
     "load_panel_csv",
+    "write_panel",
+    "load_panel",
 ]
 
 
@@ -43,7 +52,7 @@ class PricePanel:
     prices: np.ndarray  # (p + 1, n) strictly positive
     period_minutes: int
     # Each asset's prices as its input file spells them, a (p + 1,) bytes array per asset, which
-    # ``write_panel_csv`` copies into the panel file; None where the panel was not read from files.
+    # ``write_panel_csv`` copies into panel.csv; None where the panel was not read from files.
     text: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -357,4 +366,68 @@ def load_panel_csv(path: str | Path) -> PricePanel:
         assets=assets,
         prices=np.ascontiguousarray(rows["prices"]),
         period_minutes=step // MS_PER_MINUTE,
+    )
+
+
+def write_panel(panel: PricePanel, run_dir: str | Path) -> None:
+    """Cache the panel in ``run_dir`` as ``panel.npy`` and its index ``panel.json``, the index last.
+
+    The block is ``panel.prices`` as ``np.save`` writes it; the column-major
+    block of ``load_prices`` is saved as it is, without a copy. The old index
+    goes first and the new one is renamed into place once the block is whole,
+    so a crash in between leaves no index.
+    """
+    run_dir = Path(run_dir)
+    (run_dir / PANEL_INDEX).unlink(missing_ok=True)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    np.save(run_dir / PANEL_BLOCK, panel.prices, allow_pickle=False)
+    index = {
+        "assets": list(panel.assets),
+        "first_timestamp": int(panel.timestamps[0]),
+        "period_minutes": panel.period_minutes,
+        "rows": int(panel.timestamps.size),
+    }
+    partial = run_dir / f"{PANEL_INDEX}.partial"
+    partial.write_text(json.dumps(index, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(partial, run_dir / PANEL_INDEX)
+
+
+def load_panel(run_dir: str | Path) -> PricePanel:
+    """The panel that ``write_panel`` cached in ``run_dir``, its prices bit for bit.
+
+    ``FileNotFoundError`` when there is no index; ``ValueError`` naming the file
+    at fault when the index is malformed or the block is not a float64 array
+    of the shape the index gives.
+    """
+    run_dir = Path(run_dir)
+    index_path = run_dir / PANEL_INDEX
+    if not index_path.exists():
+        raise FileNotFoundError(f"panel index not found: {index_path} (run 'ingest' first)")
+    try:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+        assets, start, period, rows = (index[key] for key in ("assets", "first_timestamp", "period_minutes", "rows"))
+    except KeyError as exc:
+        raise ValueError(f"{PANEL_INDEX}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # malformed JSON, or not an object
+        raise ValueError(f"{PANEL_INDEX}: {exc}") from exc
+    if not (isinstance(assets, list) and all(isinstance(a, str) for a in assets)):
+        raise ValueError(f"{PANEL_INDEX}: assets must be a list of names, got {assets!r}")
+    if not all(type(v) is int for v in (start, period, rows)) or period < 1:
+        raise ValueError(f"{PANEL_INDEX}: first_timestamp and rows must be whole numbers, period_minutes a positive one")
+    try:
+        with open(run_dir / PANEL_BLOCK, "rb") as fh:
+            prices = np.lib.format.read_array(fh, allow_pickle=False)
+    except ValueError as exc:  # not an .npy file, a truncated one, or an object array
+        raise ValueError(f"{PANEL_BLOCK}: {exc}") from exc
+    if prices.dtype != np.float64 or prices.shape != (rows, len(assets)):
+        raise ValueError(
+            f"{PANEL_BLOCK}: holds a {prices.dtype} block of shape {prices.shape}; "
+            f"{PANEL_INDEX} lists float64 of shape {(rows, len(assets))}"
+        )
+    step = period * MS_PER_MINUTE
+    return PricePanel(
+        timestamps=np.arange(start, start + rows * step, step, dtype=np.int64),
+        assets=tuple(assets),
+        prices=prices,
+        period_minutes=period,
     )

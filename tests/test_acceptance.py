@@ -333,11 +333,14 @@ def test_fixture_artifacts_digest(fixture_run):
     weighted by their counts (the same objective, other rounding), which
     changes the last bits of ``model.json``, ``embeddings.csv``, ``pca.csv``
     and ``similarity/``, and when ``graphs.json`` began to record the
-    settings that built the graphs. The third did not change.
+    settings that built the graphs. The third did not change. They changed
+    again when ``ingest`` began to cache the panel as ``panel.npy`` and its
+    index ``panel.json``; the digests that leave out those two files pin
+    every other file, and they equal the two digests from before that change.
     """
     run1 = fixture_run["run1"]
     files = sorted(p for p in run1.rglob("*") if p.is_file())
-    assert len(files) == 231
+    assert len(files) == 233
 
     def digest(paths):
         sha = hashlib.sha256()
@@ -346,10 +349,16 @@ def test_fixture_artifacts_digest(fixture_run):
         return sha.hexdigest()
 
     hashed = [p for p in files if p.relative_to(run1).as_posix() != "report.json"]
-    assert digest(hashed) == "c1772db97672534c51ffd95dbf89c077109eab1681b2623c2160000ae9f5dc11"
+    assert digest(hashed) == "feefdfd31c3b616be74c06105d04e82dc4d11763858c6fbcdf8a1f7edd93ddaf"
     without_index = [p for p in hashed if p.relative_to(run1).as_posix() != "graphs.json"]
-    assert len(without_index) == 229
-    assert digest(without_index) == "6325408cc9be7ee7b2e24aa2d42ef082b9b844a7db97425d9ffaeb1947a934bd"
+    assert len(without_index) == 231
+    assert digest(without_index) == "0fc87b7c19549b5de32744c8837998f35dea3c1ffe8cb484f25701050cdd2823"
+    without_panel_cache = [p for p in hashed if p.relative_to(run1).as_posix() not in ("panel.npy", "panel.json")]
+    assert len(without_panel_cache) == 230
+    assert digest(without_panel_cache) == "c1772db97672534c51ffd95dbf89c077109eab1681b2623c2160000ae9f5dc11"
+    without_both = [p for p in without_index if p in without_panel_cache]
+    assert len(without_both) == 229
+    assert digest(without_both) == "6325408cc9be7ee7b2e24aa2d42ef082b9b844a7db97425d9ffaeb1947a934bd"
     graph_stage = [p for p in files if p.name == "panel.csv" or p.parent.parent.name == "graphs"]
     assert len(graph_stage) == 181
     assert digest(graph_stage) == "a62d5ef9dfc7e3aa1d7874336633438fd2b6fba9bf85d018fad5c2d26d37e8b5"

@@ -412,8 +412,49 @@ class TestCliDispatch:
         for stage in ("ingest", "graphs", "fuse", "postprocess"):
             assert main(["--config", str(config_path), "--out", str(staged), "--quiet", stage]) == EXIT_OK
         full = root / "full"
-        for name in ("embeddings.csv", "pca.csv"):
+        for name in ("panel.csv", "panel.npy", "panel.json", "embeddings.csv", "pca.csv"):
             assert (staged / name).read_bytes() == (full / name).read_bytes()
+
+    def test_two_ingests_write_the_same_panel_cache(self, workspace):
+        root, config_path = workspace
+        outs = [root / f"ingest_twice{i}" for i in range(2)]
+        for out in outs:
+            assert main(["--config", str(config_path), "--out", str(out), "--quiet", "ingest"]) == EXIT_OK
+        for name in ("panel.npy", "panel.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert json.loads((outs[0] / "panel.json").read_text())["assets"] == ["A00", "A01", "A02", "A03"]
+
+    def test_failed_ingest_leaves_no_panel_for_graphs(self, workspace, monkeypatch, capsys):
+        """An ingest that fails after writing panel.csv leaves no index, even where an earlier ingest wrote one."""
+        root, config_path = workspace
+        out = root / "failed_ingest"
+        base = ["--config", str(config_path), "--out", str(out), "--quiet"]
+        assert main([*base, "ingest"]) == EXIT_OK
+        assert (out / "panel.json").exists()
+
+        def crash(panel, run_dir):
+            assert (out / "panel.csv").exists() and not (out / "panel.json").exists()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_panel", crash)
+        assert main([*base, "ingest"]) == EXIT_FAILURE
+        assert not (out / "panel.json").exists()
+        capsys.readouterr()
+        assert main([*base, "graphs"]) == EXIT_MISSING_INPUT
+        assert "run 'ingest' first" in capsys.readouterr().err
+
+    def test_staged_graphs_read_the_binary_panel(self, workspace, monkeypatch):
+        root, config_path = workspace
+        out = root / "binary_panel"
+        base = ["--config", str(config_path), "--out", str(out), "--quiet"]
+        assert main([*base, "ingest"]) == EXIT_OK
+
+        def refuse(path):
+            raise AssertionError("graphs read panel.csv")
+
+        monkeypatch.setattr(cli, "load_panel_csv", refuse)
+        assert main([*base, "graphs"]) == EXIT_OK
+        assert (out / "graphs.json").exists()
 
     def test_library_run_equals_run_all(self, workspace):
         """What run-all writes reads back bitwise equal to the library's in-memory result."""

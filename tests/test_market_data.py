@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from leadlag_fuse.market_data import (
     MS_PER_MINUTE,
     PricePanel,
+    load_panel,
     load_panel_csv,
     load_prices,
     log_returns,
     resample,
+    write_panel,
     write_panel_csv,
 )
 
@@ -423,6 +426,80 @@ class TestCsvRoundTrips:
         write_raw(tmp_path / "panel.csv", text.format(*(minute_ts(i) for i in range(4))))
         with pytest.raises(ValueError, match=rf"panel\.csv: .*{message}"):
             load_panel_csv(tmp_path / "panel.csv")
+
+
+def assert_same_panel(loaded, panel):
+    assert loaded.assets == panel.assets
+    assert loaded.period_minutes == panel.period_minutes
+    assert loaded.timestamps.dtype == np.int64 and np.array_equal(loaded.timestamps, panel.timestamps)
+    assert loaded.prices.dtype == np.float64 and np.array_equal(loaded.prices.view(np.int64), panel.prices.view(np.int64))
+
+
+class TestBinaryPanel:
+    """``write_panel`` caches a panel as ``panel.npy`` plus its index ``panel.json``; ``load_panel`` reads it back."""
+
+    def test_round_trip_is_bitwise(self, tmp_path):
+        rng = np.random.default_rng(11)
+        prices = np.exp(rng.uniform(-700.0, 700.0, (9, 3)))
+        prices[0, 0], prices[1, 1], prices[2, 2] = 5e-324, 1.7976931348623157e308, 0.1 + 0.2
+        panel = PricePanel(
+            timestamps=T0 + 5 * MS_PER_MINUTE * np.arange(9),
+            assets=("A,1", 'B"2', "C\u00e9\u4e2d"),
+            prices=prices,
+            period_minutes=5,
+        )
+        write_panel(panel, tmp_path / "run")
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["panel.json", "panel.npy"]
+        assert_same_panel(load_panel(tmp_path / "run"), panel)
+
+    def test_load_prices_block_saved_as_it_is(self, tmp_path):
+        """The column-major block reads back column-major, at a 5-minute base period."""
+        for name, base in (("AAA", 100), ("BBB", 200)):
+            write_asset_csv(tmp_path / f"{name}.csv", [(minute_ts(5 * i), base + i) for i in range(6)])
+        panel = load_prices(sorted(tmp_path.glob("*.csv")), base_period_minutes=5)
+        assert panel.prices.flags.f_contiguous
+        write_panel(panel, tmp_path / "run")
+        loaded = load_panel(tmp_path / "run")
+        assert loaded.prices.flags.f_contiguous
+        assert_same_panel(loaded, panel)
+
+    def test_cut_range_round_trip(self, tmp_path):
+        """A panel whose range the later files cut holds rows of a larger block, neither C- nor F-contiguous."""
+        write_asset_csv(tmp_path / "AAA.csv", [(minute_ts(i), 100 + i) for i in range(10)])
+        write_asset_csv(tmp_path / "BBB.csv", [(minute_ts(i), 1.5 * i + 0.1) for i in range(3, 13)])
+        panel = load_prices(sorted(tmp_path.glob("*.csv")))
+        assert not (panel.prices.flags.c_contiguous or panel.prices.flags.f_contiguous)
+        assert panel.timestamps[0] == minute_ts(3) and panel.timestamps.size == 7
+        write_panel(panel, tmp_path / "run")
+        assert_same_panel(load_panel(tmp_path / "run"), panel)
+
+    def test_missing_index_asks_for_ingest(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="run 'ingest' first"):
+            load_panel(tmp_path)
+
+    @pytest.mark.parametrize(
+        "block",
+        [np.ones((4, 2)), np.ones((3, 3)), np.ones((3, 2), dtype=np.float32), np.ones((3, 2), dtype=object)],
+        ids=["rows", "columns", "float32", "object"],
+    )
+    def test_block_that_disagrees_with_the_index_is_refused(self, tmp_path, block):
+        write_panel(make_panel(np.ones((3, 2))), tmp_path)
+        np.save(tmp_path / "panel.npy", block, allow_pickle=True)
+        with pytest.raises(ValueError, match=r"panel\.npy: "):
+            load_panel(tmp_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda index: index.pop("rows"), lambda index: index.update(period_minutes=0), lambda index: index.update(assets="AB")],
+        ids=["missing-key", "zero-period", "assets-not-a-list"],
+    )
+    def test_malformed_index_is_refused(self, tmp_path, edit):
+        write_panel(make_panel(np.ones((3, 2))), tmp_path)
+        index = json.loads((tmp_path / "panel.json").read_text(encoding="utf-8"))
+        edit(index)
+        (tmp_path / "panel.json").write_text(json.dumps(index), encoding="utf-8")
+        with pytest.raises(ValueError, match=r"panel\.json: "):
+            load_panel(tmp_path)
 
 
 class TestPanelInvariants:
