@@ -176,33 +176,60 @@ def discretize_equal_frequency(values, states: int = 4) -> DiscreteSeries:
     return DiscreteSeries(states=codes.reshape(v.shape), cardinality=states)
 
 
-def _mi_bits_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Plug-in MI in bits from contingency counts over the last two axes.
+def _sum_first_axis(values: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, adding in the order ``np.add.reduce`` uses on a contiguous axis of that length.
 
-    The row marginals and the final sum over each table reduce the table's
-    contiguous trailing axes, in numpy's order for them (pairwise from 8
-    values on). The remaining steps work on a cell-major copy, where each
-    operation runs over one long contiguous row per cell: the column
-    marginals are the same left-to-right sums as ``joint.sum(axis=-2)``, and
-    the log ratios and terms are elementwise, so every value is bitwise that
-    of the direct formula.
+    That order is numpy's pairwise summation: fewer than 8 values are added
+    left to right; up to 128 go into eight running sums over strides of 8,
+    combined pairwise, and the rest are added left to right; more than 128
+    are split into two halves, the first a multiple of 8 long, and each half
+    is summed so. Summing planes of a stacked array in this order gives, for
+    every element, bitwise the sum that ``np.add.reduce`` gives over the
+    same values laid out contiguously.
     """
-    counts = np.asarray(counts, dtype=float)
-    total = counts.sum(axis=(-2, -1), keepdims=True)
-    joint = counts / total
-    px = joint.sum(axis=-1)
-    cells = np.moveaxis(joint, (-2, -1), (0, 1)).copy()
-    py = cells[0].copy()
-    for row in cells[1:]:
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_first_axis(values[:half]) + _sum_first_axis(values[half:])
+    if n < 8:
+        total, rest = values[0].copy(), values[1:]
+    else:
+        tail = n - n % 8
+        lanes = values[:8].copy()
+        for lo in range(8, tail, 8):
+            lanes += values[lo : lo + 8]
+        while len(lanes) > 1:
+            lanes = lanes[0::2] + lanes[1::2]
+        total, rest = lanes[0], values[tail:]
+    for value in rest:
+        total += value
+    return total
+
+
+def _mi_bits_from_counts(cells: np.ndarray, total: float | np.ndarray) -> np.ndarray:
+    """Plug-in MI in bits from cell-major contingency counts: ``cells[i, j, ...]`` is cell (i, j) of every table.
+
+    ``total`` is each table's count, the sum of its cells, given rather than
+    reduced; it broadcasts against the table axes ``cells.shape[2:]``. Every
+    operation runs over whole cell planes. The row marginals and the final
+    sum over each table's cells add the planes in the order
+    ``_sum_first_axis`` mirrors, numpy's own for a table's contiguous cells;
+    the column marginals are left-to-right sums over source states; the log
+    ratios and terms are elementwise. So every value is bitwise that of the
+    direct formula on table-major counts.
+    """
+    joint = np.divide(cells, total, dtype=float)
+    px = _sum_first_axis(np.moveaxis(joint, 1, 0))
+    py = joint[0].copy()
+    for row in joint[1:]:
         py += row
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_px = np.moveaxis(np.log2(px), -1, 0)
-        terms = np.log2(cells)
-        terms -= log_px[:, np.newaxis]
+        terms = np.log2(joint)
+        terms -= np.log2(px)[:, np.newaxis]
         terms -= np.log2(py)
-        terms *= cells
-    terms = np.where(cells > 0.0, terms, 0.0)
-    return np.ascontiguousarray(np.moveaxis(terms, (0, 1), (-2, -1))).sum(axis=(-2, -1))
+        terms *= joint
+    np.copyto(terms, 0.0, where=cells == 0)
+    return _sum_first_axis(terms.reshape(-1, *terms.shape[2:]))
 
 
 def mutual_information_bits(x: DiscreteSeries, y: DiscreteSeries) -> float:
@@ -216,7 +243,7 @@ def mutual_information_bits(x: DiscreteSeries, y: DiscreteSeries) -> float:
     codes = x.states * y.cardinality + y.states
     counts = np.bincount(codes, minlength=x.cardinality * y.cardinality)
     counts = counts.reshape(x.cardinality, y.cardinality)
-    return float(max(_mi_bits_from_counts(counts), 0.0))
+    return float(max(_mi_bits_from_counts(counts, len(x)), 0.0))
 
 
 @dataclass(frozen=True)

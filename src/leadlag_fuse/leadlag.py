@@ -96,22 +96,21 @@ def shift_split(returns: ReturnMatrix, lag: int) -> tuple[np.ndarray, np.ndarray
 # Contingency counts are float32 sums of 0/1 products. float32 holds every
 # integer up to 2**24 exactly, so the counts are exact up to that many rows.
 _EXACT_COUNT_ROWS = 2**24
-# Source assets whose counts one GEMM takes: bounds the per-graph transient
-# to _SOURCE_BLOCK x n x states**2 counts and their MI terms.
-_SOURCE_BLOCK = 32
+# (source, target) tables whose counts one GEMM takes: bounds the per-graph
+# transient to this many tables of states**2 counts and their MI terms.
+_TABLE_BUDGET = 32 * 200
 
 
 def _one_hot(codes: np.ndarray, states: int) -> np.ndarray:
-    """(rows, (states - 1) * assets) float32 indicator of states 0..states-2, state-major.
+    """(rows, states - 1, assets) float32 indicator of states 0..states-2.
 
-    Column ``k * assets + a`` marks the rows where asset ``a`` is in state
-    ``k``; the last state has no column, since its counts follow from the
-    others'.
+    ``hot[:, k, a]`` marks the rows where asset ``a`` is in state ``k``; the
+    last state has no plane, since its counts follow from the others'.
     """
     hot = np.empty((codes.shape[0], states - 1, codes.shape[1]), dtype=np.float32)
     for k in range(states - 1):
-        hot[:, k] = codes == k
-    return hot.reshape(codes.shape[0], -1)
+        np.equal(codes, k, out=hot[:, k])
+    return hot
 
 
 def lagged_mi_matrix(returns: ReturnMatrix, lag: int, states: int = 4) -> np.ndarray:
@@ -119,23 +118,27 @@ def lagged_mi_matrix(returns: ReturnMatrix, lag: int, states: int = 4) -> np.nda
 
     Each block (past, future) is discretized with one equal-frequency binning
     of the whole block, so each asset's past and future are separately reduced
-    to states; at lag 0 both are the same block, binned once. The counts of
-    every (source, target) contingency table come from one-hot GEMMs over
-    the states 0..S-2 only: with Y the (rows, n * (S - 1)) one-hot matrix of
-    the future and X_b that of a block of past columns, ``X_b^T @ Y`` holds
-    the (S - 1) x (S - 1) leading cells of every table of a source in the
-    block against every target, 9 of 16 at S = 4. The last row and column of
-    each table follow exactly from the per-column state counts, the column
-    sums of the same one-hots: cell (i, S-1) is the source's count of state
-    i minus the table's other cells in row i, and likewise for the last row;
-    the corner is the target's count of state S-1 minus the last column's
-    other cells. This holds for any binning, whatever its marginals.
+    to states; at lag 0 both are the same block, binned once, and share one
+    one-hot matrix. The counts of every (source, target) contingency table
+    come from one-hot GEMMs over the states 0..S-2 only: with Y the one-hot
+    matrix of the future and X_b the past's one-hot columns of a block of
+    sources, ``X_b^T @ Y`` holds the (S - 1) x (S - 1) leading cells of every
+    table of a source in the block against every target, 9 of 16 at S = 4.
+    The last row and column of each table follow exactly from the per-column
+    state counts, the column sums of the same one-hots: cell (i, S-1) is the
+    source's count of state i minus the table's other cells in row i, and
+    likewise for the last row; the corner is the target's count of state S-1
+    minus the last column's other cells. This holds for any binning,
+    whatever its marginals.
 
-    Sources go in fixed blocks of ``_SOURCE_BLOCK``, one GEMM and one MI
-    evaluation per block, so the full n x n x S x S tensor never exists at
-    once. The counts are accumulated in float32, which is exact up to
-    ``_EXACT_COUNT_ROWS`` (2**24) overlapping rows; longer windows are
-    rejected.
+    The counts are laid out cell-major, (S, S, sources, targets), so every
+    step of the MI formula runs over whole cell planes
+    (``infotheory._mi_bits_from_counts``). Sources go in blocks of
+    ``_TABLE_BUDGET // n``, one GEMM and one MI evaluation per block, so the
+    full n x n x S x S tensor never exists at once for wide universes; up to
+    80 assets take one block. The counts are accumulated in float32, which
+    is exact up to ``_EXACT_COUNT_ROWS`` (2**24) overlapping rows; longer
+    windows are rejected.
     """
     past, future = shift_split(returns, lag)
     rows, n = past.shape
@@ -146,25 +149,26 @@ def lagged_mi_matrix(returns: ReturnMatrix, lag: int, states: int = 4) -> np.nda
             f"{rows} overlapping rows exceed {_EXACT_COUNT_ROWS}, the longest window whose "
             "float32 contingency counts are exact"
         )
-    head = states - 1  # states with a one-hot column
-    xs = discretize_equal_frequency(past, states).states
-    y = _one_hot(xs if lag == 0 else discretize_equal_frequency(future, states).states, states)
-    target_counts = y.sum(axis=0).reshape(head, n)
+    head = states - 1  # states with a one-hot plane
+    past_hot = _one_hot(discretize_equal_frequency(past, states).states, states)
+    future_hot = past_hot if lag == 0 else _one_hot(discretize_equal_frequency(future, states).states, states)
+    y = future_hot.reshape(rows, head * n)
+    source_counts = past_hot.sum(axis=0)  # (state, asset)
+    target_counts = future_hot.sum(axis=0)
     target_last = rows - target_counts.sum(axis=0)
+    block = max(1, _TABLE_BUDGET // n)
     mi = np.empty((n, n), dtype=float)
-    for lo in range(0, n, _SOURCE_BLOCK):
-        hi = min(lo + _SOURCE_BLOCK, n)
-        x = _one_hot(xs[:, lo:hi], states)
-        source_counts = x.sum(axis=0).reshape(head, hi - lo)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        x = past_hot[:, :, lo:hi].reshape(rows, head * (hi - lo))
         inner = (x.T @ y).reshape(head, hi - lo, head, n)  # (source state, source, target state, target)
-        last_col = source_counts[:, :, np.newaxis] - inner.sum(axis=2)  # (source state, source, target)
-        last_row = target_counts - inner.sum(axis=0)  # (source, target state, target)
-        counts = np.empty((hi - lo, n, states, states), dtype=np.float32)
-        counts[:, :, :head, :head] = inner.transpose(1, 3, 0, 2)
-        counts[:, :, :head, head] = last_col.transpose(1, 2, 0)
-        counts[:, :, head, :head] = last_row.transpose(0, 2, 1)
-        counts[:, :, head, head] = target_last - last_col.sum(axis=0)
-        mi[lo:hi] = _mi_bits_from_counts(counts)
+        cells = np.empty((states, states, hi - lo, n), dtype=np.float32)
+        cells[:head, :head] = inner.transpose(0, 2, 1, 3)
+        known = cells[:head, :head]
+        np.subtract(source_counts[:, lo:hi, np.newaxis], known.sum(axis=1), out=cells[:head, head])
+        np.subtract(target_counts[:, np.newaxis], known.sum(axis=0), out=cells[head, :head])
+        np.subtract(target_last, cells[:head, head].sum(axis=0), out=cells[head, head])
+        mi[lo:hi] = _mi_bits_from_counts(cells, rows)
     return np.maximum(mi, 0.0)
 
 

@@ -22,7 +22,10 @@ import math
 
 import numpy as np
 
-from leadlag_fuse.leadlag import _EXACT_COUNT_ROWS, _SOURCE_BLOCK, shift_split
+from leadlag_fuse.leadlag import _EXACT_COUNT_ROWS, shift_split
+
+# Sources per GEMM of the lagged-MI reference: bounds its memory, not its values.
+_REFERENCE_SOURCE_BLOCK = 32
 
 
 def mi_bits_oracle(xs, ys, states_x: int, states_y: int) -> float:
@@ -207,8 +210,8 @@ def lagged_mi_matrix_reference(returns, lag: int, states: int = 4) -> np.ndarray
     xs = discretize_reference(past, states)
     y = _one_hot_reference(xs if lag == 0 else discretize_reference(future, states), states)
     mi = np.empty((n, n), dtype=float)
-    for lo in range(0, n, _SOURCE_BLOCK):
-        hi = min(lo + _SOURCE_BLOCK, n)
+    for lo in range(0, n, _REFERENCE_SOURCE_BLOCK):
+        hi = min(lo + _REFERENCE_SOURCE_BLOCK, n)
         joint = _one_hot_reference(xs[:, lo:hi], states).T @ y
         counts = joint.reshape(hi - lo, states, n, states).transpose(0, 2, 1, 3)
         mi[lo:hi] = mi_bits_from_counts_reference(np.ascontiguousarray(counts, dtype=float))

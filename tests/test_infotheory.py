@@ -10,6 +10,7 @@ from leadlag_fuse.infotheory import (
     MiTestConfig,
     _chi2_isf,
     _mi_bits_from_counts,
+    _sum_first_axis,
     discretize_equal_frequency,
     gamma_cdf,
     gamma_quantile,
@@ -141,17 +142,29 @@ class TestKernelsMatchReferences:
         permuted = discretize_equal_frequency(block[rows], 4).states
         assert np.array_equal(permuted, discretize_equal_frequency(block, 4).states[rows])
 
-    @pytest.mark.parametrize("states", range(1, 10))
+    @pytest.mark.parametrize("states", [*range(1, 10), 12, 16])
     def test_mi_from_counts_equals_direct_formula(self, states):
+        # S = 12 and 16 give tables of more than 128 cells, whose sums numpy splits in halves
         rng = np.random.default_rng(states)
         counts = rng.integers(0, 60, (5, 7, states, states)).astype(float)
         counts[..., 0, 0] += 1.0  # every table holds a count
         counts[0, 0, 1:] = 0.0  # every source state but the first is empty
         counts[1, 2, :, 1:] = 0.0  # every target state but the first is empty
         counts[2, 3] = rng.integers(1, 1000) * np.eye(states)  # fully dependent
-        assert np.array_equal(_mi_bits_from_counts(counts), mi_bits_from_counts_reference(counts))
+        cells = np.moveaxis(counts, (-2, -1), (0, 1))
+        totals = counts.sum(axis=(-2, -1))
+        assert np.array_equal(_mi_bits_from_counts(cells, totals), mi_bits_from_counts_reference(counts))
         for table in counts[:, 0]:
-            assert np.array_equal(_mi_bits_from_counts(table), mi_bits_from_counts_reference(table))
+            assert np.array_equal(_mi_bits_from_counts(table, table.sum()), mi_bits_from_counts_reference(table))
+
+    def test_sum_first_axis_follows_numpy_reduction_order(self):
+        # The MI kernel mirrors np.add.reduce's order over a contiguous axis; under a numpy that
+        # adds in another order this fails first, ahead of the kernels' reference tests.
+        rng = np.random.default_rng(31)
+        for n in range(1, 301):
+            values = rng.standard_normal((n, 40)) * 10.0 ** rng.uniform(-6.0, 6.0, (n, 40))
+            expected = np.add.reduce(np.ascontiguousarray(values.T), axis=-1)
+            assert np.array_equal(_sum_first_axis(values).view(np.int64), expected.view(np.int64)), n
 
 
 class TestMutualInformation:

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import lagged_mi_matrix_reference, mi_bits_oracle
 from leadlag_fuse import leadlag
-from leadlag_fuse.infotheory import MiTestConfig, discretize_equal_frequency, significance_threshold
+from leadlag_fuse.infotheory import MiTestConfig, _mi_bits_from_counts, discretize_equal_frequency, significance_threshold
 from leadlag_fuse.leadlag import (
     LagSpec,
     LeadLagGraph,
@@ -128,16 +128,29 @@ def illiquid_returns(seed, rows, n, zero_share=0.8):
 class TestBlockKernel:
     @pytest.mark.parametrize("lag", [0, 2])
     @pytest.mark.parametrize(
-        "rows, n, constant",
-        [(37, 6, None), (30, 4, 2), (18, leadlag._SOURCE_BLOCK + 1, None), (25, 1, None)],
-        ids=["ties", "constant-column", "partial-source-block", "single-asset"],
+        "rows, n, constant, block",
+        [(37, 6, None, None), (30, 4, 2, None), (18, 33, None, 8), (18, 33, None, 33), (25, 1, None, None)],
+        ids=["ties", "constant-column", "partial-source-block", "single-block", "single-asset"],
     )
-    def test_matches_per_pair_oracle(self, lag, rows, n, constant):
+    def test_matches_per_pair_oracle(self, monkeypatch, lag, rows, n, constant, block):
+        # ``block`` sources per GEMM, by a table budget of block * n; None keeps the default budget,
+        # which takes these few assets in one block
+        if block is not None:
+            monkeypatch.setattr(leadlag, "_TABLE_BUDGET", block * n)
+        sources = []
+
+        def recording(cells, total):
+            sources.append(cells.shape[2])
+            return _mi_bits_from_counts(cells, total)
+
+        monkeypatch.setattr(leadlag, "_mi_bits_from_counts", recording)
         r = illiquid_returns(20, rows, n)
         if constant is not None:
             r[:, constant] = 0.0
         rm = make_returns(r)
         mi = lagged_mi_matrix(rm, lag, 4)
+        size = block or n
+        assert sources == [min(size, n - lo) for lo in range(0, n, size)]
         assert mi.shape == (n, n)
         assert np.allclose(mi, oracle_mi_matrix(rm, lag), rtol=0.0, atol=1e-12)
 
