@@ -21,10 +21,10 @@ from .leadlag import LagSpec, LeadLagGraph, build_graph, lagged_mi_matrix
 from .market_data import PricePanel, ReturnMatrix, load_prices, log_returns, resample
 from .pipeline import (
     RunConfig,
-    RunResult,
+    build_graphs,
     cosine_similarity,
+    fit,
     pca_project,
-    run_dynamic_fusion,
     similarity_matrix,
     similarity_series,
 )
@@ -45,15 +45,16 @@ __all__ = [
     "PricePanel",
     "ReturnMatrix",
     "RunConfig",
-    "RunResult",
     "RwrConfig",
     "SyntheticSpec",
     "TrainReport",
     "TrainingSettings",
     "build_graph",
+    "build_graphs",
     "cosine_similarity",
     "discretize_equal_frequency",
     "extract_embeddings",
+    "fit",
     "generate_synthetic",
     "lagged_mi_matrix",
     "load_prices",
@@ -63,7 +64,6 @@ __all__ = [
     "pca_project",
     "ppmi",
     "resample",
-    "run_dynamic_fusion",
     "rwr_accumulate",
     "significance_threshold",
     "similarity_matrix",

@@ -8,15 +8,19 @@ Subcommands:
                  the cached panel
     fuse         train the fusion autoencoder and export embeddings
     postprocess  similarity series and PCA projection from embeddings
-    run-all      ingest + graphs + fuse + postprocess in one process
+    run-all      ingest, graphs, fuse and postprocess in turn, in one process
 
 Every command first parses the whole config file, ``--set`` overrides
 included, into one checked ``RunConfig`` (``load_config``), so a bad value
 anywhere in the file stops any command with exit code 3 before it writes
 anything. The stages take that ``RunConfig`` and never re-read the file.
 
-All stages are deterministic given the config and seeds, and idempotent:
-re-running a stage with unchanged inputs rewrites identical files.
+Each stage reads its inputs from the run directory (``graphs`` the panel
+cache, ``fuse`` the graph index ``graphs.json``, ``postprocess``
+``embeddings.csv``), and ``run-all`` runs the four staged commands in turn,
+so it writes the files the staged commands write. All stages are
+deterministic given the config and seeds, and idempotent: re-running a stage
+with unchanged inputs rewrites identical files.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 from . import fusion, pipeline
-from .market_data import PANEL_INDEX, PricePanel, load_panel, load_prices, write_panel, write_panel_csv
+from .market_data import PANEL_INDEX, load_panel, load_prices, write_panel, write_panel_csv
 
 # No stage reads panel.csv back; the benchmark's tracer wraps ``cli.load_panel_csv`` by name,
 # so the name stays here until the benchmark no longer expects the CSV panel.
@@ -50,6 +54,9 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_MISSING_INPUT = 4
+
+# run-all is these commands in turn; each reads its inputs back from the run directory
+RUN_ALL = ("ingest", "graphs", "fuse", "postprocess")
 
 
 def _json_tree(obj) -> dict:
@@ -197,16 +204,15 @@ def _prices_dir(data: DataSettings, config_dir: Path) -> Path:
     return raw if raw.is_absolute() else config_dir / raw
 
 
-def stage_synth(out_dir: Path, config: RunConfig, config_dir: Path) -> list[Path]:
+def stage_synth(out_dir: Path, config: RunConfig, config_dir: Path) -> None:
     spec = config.synth
     prices_dir = _prices_dir(config.data, config_dir)
     paths = generate_synthetic(spec, seed=config.seeds.data, out_dir=prices_dir)
     logger.info("wrote %d synthetic price files to %s", len(paths), prices_dir)
     _update_report(out_dir, "synth", {"assets": spec.n_assets, "days": spec.days, "dir": str(prices_dir)}, config)
-    return paths
 
 
-def stage_ingest(out_dir: Path, config: RunConfig, config_dir: Path) -> PricePanel:
+def stage_ingest(out_dir: Path, config: RunConfig, config_dir: Path) -> None:
     """Align the price files and cache the panel: ``panel.csv``, then ``panel.npy``, then the index ``panel.json``.
 
     The old index goes before anything is written, so an ingest that fails
@@ -231,13 +237,10 @@ def stage_ingest(out_dir: Path, config: RunConfig, config_dir: Path) -> PricePan
         {"assets": list(panel.assets), "rows": int(panel.timestamps.size), "base_period_minutes": base},
         config,
     )
-    return replace(panel, text=None)  # the text is for panel.csv only: run-all's graph stage reads the floats
 
 
-def stage_graphs(out_dir: Path, config: RunConfig, panel: PricePanel | None = None, threads: int = 1):
-    if panel is None:
-        panel = load_panel(out_dir)
-    graphs, usable_ends, skips, flags = pipeline.build_graphs(config, panel, threads=threads)
+def stage_graphs(out_dir: Path, config: RunConfig, threads: int = 1) -> None:
+    graphs, usable_ends, skips, flags = pipeline.build_graphs(config, load_panel(out_dir), threads=threads)
     pipeline.write_graph_artifacts(graphs, out_dir, config)
     payload = {
         "usable_window_ends": usable_ends,
@@ -247,28 +250,23 @@ def stage_graphs(out_dir: Path, config: RunConfig, panel: PricePanel | None = No
     }
     _update_report(out_dir, "graphs", payload, config)
     logger.info("built %d graphs over %d dates", len(graphs), len(usable_ends))
-    return graphs
 
 
-def stage_fuse(out_dir: Path, config: RunConfig, graphs=None):
-    if graphs is None:
-        graphs = pipeline.load_graph_artifacts(out_dir, config)
-    model, report, frame = pipeline.fit(config, graphs)
+def stage_fuse(out_dir: Path, config: RunConfig) -> None:
+    model, report, frame = pipeline.fit(config, pipeline.load_graph_artifacts(out_dir, config))
     pipeline.write_embeddings_csv(frame, out_dir / "embeddings.csv")
     fusion.save_model(model, out_dir / "model.json")
     count = len(frame.window_ends) * len(frame.universe)
     payload = {**asdict(report), "embedding_count": count, "embedding_dim": frame.embedding_dim}
     _update_report(out_dir, "training", payload, config)
     logger.info("trained fusion model on %d samples; %d embeddings", report.config["n_samples"], count)
-    return frame
 
 
-def stage_postprocess(out_dir: Path, config: RunConfig, frame=None):
-    if frame is None:
-        embeddings_path = out_dir / "embeddings.csv"
-        if not embeddings_path.exists():
-            raise FileNotFoundError(f"embeddings not found: {embeddings_path} (run 'fuse' first)")
-        frame = pipeline.load_embeddings_csv(embeddings_path)
+def stage_postprocess(out_dir: Path, config: RunConfig) -> None:
+    embeddings_path = out_dir / "embeddings.csv"
+    if not embeddings_path.exists():
+        raise FileNotFoundError(f"embeddings not found: {embeddings_path} (run 'fuse' first)")
+    frame = pipeline.load_embeddings_csv(embeddings_path)
     if config.similarity_pairs == "all":
         universe = frame.universe
         pairs = [(a, b) for i, a in enumerate(universe) for b in universe[i + 1 :]]
@@ -304,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a config key (dotted path, JSON value); repeatable",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for graph construction")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for graph construction (at least 1)")
     verbosity = parser.add_mutually_exclusive_group()
     verbosity.add_argument("--quiet", action="store_true", help="warnings and errors only")
     verbosity.add_argument("--verbose", action="store_true", help="debug logging")
@@ -326,21 +324,17 @@ def _dispatch(args: argparse.Namespace) -> int:
     config = load_config(args.config, args.overrides)
     config_dir = Path(args.config).resolve().parent
 
-    if args.command == "synth":
-        stage_synth(out_dir, config, config_dir)
-    elif args.command == "ingest":
-        stage_ingest(out_dir, config, config_dir)
-    elif args.command == "graphs":
-        stage_graphs(out_dir, config, threads=args.threads)
-    elif args.command == "fuse":
-        stage_fuse(out_dir, config)
-    elif args.command == "postprocess":
-        stage_postprocess(out_dir, config)
-    elif args.command == "run-all":
-        panel = stage_ingest(out_dir, config, config_dir)
-        graphs = stage_graphs(out_dir, config, panel=panel, threads=args.threads)
-        frame = stage_fuse(out_dir, config, graphs=graphs)
-        stage_postprocess(out_dir, config, frame=frame)
+    for command in RUN_ALL if args.command == "run-all" else (args.command,):
+        if command == "synth":
+            stage_synth(out_dir, config, config_dir)
+        elif command == "ingest":
+            stage_ingest(out_dir, config, config_dir)
+        elif command == "graphs":
+            stage_graphs(out_dir, config, threads=args.threads)
+        elif command == "fuse":
+            stage_fuse(out_dir, config)
+        elif command == "postprocess":
+            stage_postprocess(out_dir, config)
     return EXIT_OK
 
 
@@ -348,6 +342,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch the requested stage, map failures to exit codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be at least 1, got {args.threads}")
     level = logging.WARNING if args.quiet else (logging.DEBUG if args.verbose else logging.INFO)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -3,10 +3,10 @@
 For every selected window-end date and every (period, lag) spec, a lookback
 window of return rows is sliced, a validated lead-lag graph is built, and the
 graph's RWR/PPMI features become one training row per asset; the rows form
-one (specs, dates * assets, assets) sample array. ``fit`` trains the single
-fusion model, in float32, over all (asset, date) samples and embeds them;
-the library (``run_dynamic_fusion``) and the CLI ``fuse`` stage both train
-through it.
+one (specs, dates * assets, assets) sample array. ``build_graphs`` builds
+every graph in memory, and ``fit`` trains the single fusion model, in
+float32, over all (asset, date) samples and embeds them: it is the one
+training entry point, and the CLI ``fuse`` stage calls it too.
 Pairwise cosine similarity series and a 2-D PCA projection are derived from
 the embeddings.
 
@@ -56,12 +56,10 @@ __all__ = [
     "Seeds",
     "RunConfig",
     "PcaProjection",
-    "RunResult",
     "select_window_ends",
     "build_graphs",
     "samples_from_graphs",
     "fit",
-    "run_dynamic_fusion",
     "cosine_matrix",
     "cosine_similarity",
     "similarity_series",
@@ -188,16 +186,6 @@ class PcaProjection:
     coordinates: np.ndarray  # (dates, assets, components), on the frame's grid
     components: np.ndarray  # (components, embedding_dim), orthonormal rows
     explained_variance: np.ndarray  # (components,), non-increasing
-
-
-@dataclass
-class RunResult:
-    model: FusionModel
-    frame: EmbeddingFrame
-    graphs: list[LeadLagGraph]
-    train_report: TrainReport
-    skips: list[dict]
-    flags: list[dict]
 
 
 # --- windowing ---------------------------------------------------------------
@@ -368,18 +356,6 @@ def _one_hot_row_share(samples: np.ndarray) -> float:
     nonzero = samples != 0.0
     own = nonzero[:, np.arange(rows), np.arange(rows) % n]
     return float(np.mean(own & (np.count_nonzero(nonzero, axis=2) == 1)))
-
-
-def run_dynamic_fusion(config: RunConfig, panel: PricePanel, threads: int = 1) -> RunResult:
-    """The full dynamic pipeline in memory: graphs for every date, one fusion training, embeddings.
-
-    Nothing is written. To keep the artifacts, pass the result to the writers
-    the CLI uses, e.g. ``fusion.save_model(result.model, path)`` and
-    ``write_embeddings_csv(result.frame, path)``.
-    """
-    graphs, _, skips, flags = build_graphs(config, panel, threads=threads)
-    model, report, frame = fit(config, graphs)
-    return RunResult(model=model, frame=frame, graphs=graphs, train_report=report, skips=skips, flags=flags)
 
 
 # --- similarity ----------------------------------------------------------------

@@ -22,15 +22,16 @@ from leadlag_fuse.cli import (
 from leadlag_fuse.diffusion import RwrConfig
 from leadlag_fuse.fusion import ModelSettings, TrainingSettings
 from leadlag_fuse.leadlag import LagSpec
-from leadlag_fuse.market_data import load_prices
+from leadlag_fuse.market_data import load_panel, load_prices
 from leadlag_fuse.pipeline import (
     ConfigError,
     DataSettings,
     RunConfig,
     Seeds,
+    build_graphs,
+    fit,
     load_embeddings_csv,
     load_graph_artifacts,
-    run_dynamic_fusion,
     write_similarity_csv,
 )
 from leadlag_fuse.synthetic import PlantedCoupling, SyntheticSpec, generate_synthetic, synthetic_returns
@@ -71,7 +72,7 @@ def parse(tmp_path, assignments=(), tree=None):
 
 
 def tree_bytes(base, pattern):
-    return {p.relative_to(base).as_posix(): p.read_bytes() for p in sorted(base.glob(pattern))}
+    return {p.relative_to(base).as_posix(): p.read_bytes() for p in sorted(base.glob(pattern)) if p.is_file()}
 
 
 class TestSyntheticGeneration:
@@ -372,11 +373,11 @@ class TestCliDispatch:
         assert report["graphs"]["link_counts"]
         assert report["graphs"]["skips"]  # the warm-up day is skipped with a reason
 
-    def test_ingest_copies_the_price_cells_and_returns_no_text(self, workspace):
+    def test_ingest_copies_the_price_cells(self, workspace):
         root, config_path = workspace
         out = root / "ingest_text"
-        panel = cli.stage_ingest(out, load_config(config_path), config_path.parent)
-        assert panel.text is None
+        assert main(["--config", str(config_path), "--out", str(out), "--quiet", "ingest"]) == EXIT_OK
+        panel = load_panel(out)
         assert panel.prices.tobytes() == load_prices(sorted((root / "prices").glob("*.csv"))).prices.tobytes()
         columns = list(zip(*(line.split(b",") for line in (out / "panel.csv").read_bytes().split(b"\r\n")[:-1])))
         for asset, column in zip(panel.assets, columns[1:]):
@@ -407,13 +408,16 @@ class TestCliDispatch:
         assert tree_bytes(out, "graphs/*/*") | tree_bytes(out, "graphs.json") == first
 
     def test_staged_equals_run_all(self, workspace):
+        """The four staged commands and run-all write the same files, report.json included."""
         root, config_path = workspace
-        staged = root / "staged"
+        staged, full = root / "staged", root / "staged_run_all"
         for stage in ("ingest", "graphs", "fuse", "postprocess"):
             assert main(["--config", str(config_path), "--out", str(staged), "--quiet", stage]) == EXIT_OK
-        full = root / "full"
-        for name in ("panel.csv", "panel.npy", "panel.json", "embeddings.csv", "pca.csv"):
-            assert (staged / name).read_bytes() == (full / name).read_bytes()
+        assert main(["--config", str(config_path), "--out", str(full), "--quiet", "run-all"]) == EXIT_OK
+        files = tree_bytes(staged, "**/*")
+        assert {"graphs.json", "model.json", "report.json", "panel.csv", "pca.csv"} <= set(files)
+        assert len([name for name in files if name.startswith("similarity/")]) == 6
+        assert files == tree_bytes(full, "**/*")
 
     def test_two_ingests_write_the_same_panel_cache(self, workspace):
         root, config_path = workspace
@@ -457,20 +461,21 @@ class TestCliDispatch:
         assert (out / "graphs.json").exists()
 
     def test_library_run_equals_run_all(self, workspace):
-        """What run-all writes reads back bitwise equal to the library's in-memory result."""
+        """What run-all writes reads back bitwise equal to ``build_graphs`` and ``fit`` in memory."""
         root, config_path = workspace
         out = root / "equiv"
         assert main(["--config", str(config_path), "--out", str(out), "--quiet", "run-all"]) == EXIT_OK
         config = load_config(config_path)
-        result = run_dynamic_fusion(config, load_prices(sorted((root / "prices").glob("*.csv"))))
+        graphs, _, _, _ = build_graphs(config, load_prices(sorted((root / "prices").glob("*.csv"))))
+        model, _, frame = fit(config, graphs)
         written = {(g.spec.tag, g.window_end): g for g in load_graph_artifacts(out, config)}
-        assert sorted(written) == sorted((g.spec.tag, g.window_end) for g in result.graphs)
-        for graph in result.graphs:
+        assert sorted(written) == sorted((g.spec.tag, g.window_end) for g in graphs)
+        for graph in graphs:
             assert np.array_equal(written[(graph.spec.tag, graph.window_end)].weights, graph.weights)
-        frame = load_embeddings_csv(out / "embeddings.csv")
-        assert (frame.universe, frame.window_ends) == (result.frame.universe, result.frame.window_ends)
-        assert np.array_equal(frame.vectors, result.frame.vectors)
-        assert np.array_equal(fusion.load_model(out / "model.json").params, result.model.params)
+        read = load_embeddings_csv(out / "embeddings.csv")
+        assert (read.universe, read.window_ends) == (frame.universe, frame.window_ends)
+        assert np.array_equal(read.vectors, frame.vectors)
+        assert np.array_equal(fusion.load_model(out / "model.json").params, model.params)
 
     def test_rerun_graphs_leaves_no_stale_graphs(self, workspace):
         root, config_path = workspace
@@ -605,6 +610,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["--config", str(config_path), "--frobnicate", "run-all"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_a_usage_error(self, workspace, tmp_path, capsys, threads):
+        _, config_path = workspace
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--config", str(config_path), "--out", str(out), "--quiet", "--threads", threads, "run-all"])
+        assert excinfo.value.code == 2
+        assert f"argument --threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_config_value(self, workspace, tmp_path, capsys):
         _, config_path = workspace

@@ -25,7 +25,6 @@ from leadlag_fuse.pipeline import (
     link_count_summary,
     load_embeddings_csv,
     pca_project,
-    run_dynamic_fusion,
     samples_from_graphs,
     select_window_ends,
     similarity_matrix,
@@ -111,12 +110,13 @@ class TestWindowing:
     def test_counting_contract(self):
         panel = tiny_panel()
         config = tiny_config(panel, n_dates=2)
-        result = run_dynamic_fusion(config, panel)
-        assert len(result.graphs) == 2  # |specs| x usable dates
-        assert result.train_report.config["n_samples"] == 4  # assets x dates
-        assert result.frame.vectors.shape[:2] == (2, 2)  # dates x assets
-        assert result.model.architecture.graph_count == 1
-        assert result.model.architecture.input_dim == 2
+        graphs, _, _, _ = build_graphs(config, panel)
+        model, report, frame = fit(config, graphs)
+        assert len(graphs) == 2  # |specs| x usable dates
+        assert report.config["n_samples"] == 4  # assets x dates
+        assert frame.vectors.shape[:2] == (2, 2)  # dates x assets
+        assert model.architecture.graph_count == 1
+        assert model.architecture.input_dim == 2
 
     def test_fit_takes_its_dates_from_the_graphs(self):
         panel = tiny_panel(rows=60, assets=3)
@@ -161,10 +161,11 @@ class TestWindowing:
             training=config.training,
         )
         with caplog.at_level(logging.WARNING):
-            result = run_dynamic_fusion(config, panel)
-        assert result.frame.window_ends == (late,)
-        assert len(result.skips) == 1
-        assert "fewer than" in result.skips[0]["reason"]
+            graphs, _, skips, _ = build_graphs(config, panel)
+        _, _, frame = fit(config, graphs)
+        assert frame.window_ends == (late,)
+        assert len(skips) == 1
+        assert "fewer than" in skips[0]["reason"]
 
     def test_no_usable_dates_aborts(self):
         panel = tiny_panel(rows=20)
@@ -178,26 +179,28 @@ class TestWindowing:
             training=config.training,
         )
         with pytest.raises(ValueError, match="no usable window-end dates"):
-            run_dynamic_fusion(config, panel)
+            build_graphs(config, panel)
 
     def test_deterministic_embeddings(self):
         panel = tiny_panel()
         config = tiny_config(panel)
-        a = run_dynamic_fusion(config, panel)
-        b = run_dynamic_fusion(config, panel)
-        assert a.frame.universe == b.frame.universe and a.frame.window_ends == b.frame.window_ends
-        assert np.array_equal(a.frame.vectors, b.frame.vectors)
-        assert np.array_equal(a.model.params, b.model.params)
+        model_a, _, a = fit(config, build_graphs(config, panel)[0])
+        model_b, _, b = fit(config, build_graphs(config, panel)[0])
+        assert a.universe == b.universe and a.window_ends == b.window_ends
+        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(model_a.params, model_b.params)
 
     def test_threads_do_not_change_results(self):
         panel = tiny_panel(rows=60)
         config = tiny_config(panel, n_dates=3)
-        serial = run_dynamic_fusion(config, panel, threads=1)
-        threaded = run_dynamic_fusion(config, panel, threads=4)
-        for a, b in zip(serial.graphs, threaded.graphs):
+        serial = build_graphs(config, panel, threads=1)[0]
+        threaded = build_graphs(config, panel, threads=4)[0]
+        for a, b in zip(serial, threaded):
             assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(serial.frame.vectors, threaded.frame.vectors)
-        assert np.array_equal(serial.model.params, threaded.model.params)
+        serial_model, _, serial_frame = fit(config, serial)
+        threaded_model, _, threaded_frame = fit(config, threaded)
+        assert np.array_equal(serial_frame.vectors, threaded_frame.vectors)
+        assert np.array_equal(serial_model.params, threaded_model.params)
 
 
 class TestGraphStageMatchesReferences:
@@ -244,12 +247,13 @@ class TestFusedEmbeddingsCarryThePlantedLink:
 
     @staticmethod
     def planted_pair_ranks(specs):
-        result = run_dynamic_fusion(RunConfig(specs=specs), synthetic_panel(SyntheticSpec(), seed=7))
-        assert len(result.frame.window_ends) == 30
+        config = RunConfig(specs=specs)
+        _, _, frame = fit(config, build_graphs(config, synthetic_panel(SyntheticSpec(), seed=7))[0])
+        assert len(frame.window_ends) == 30
         ranks = []
-        for end in result.frame.window_ends:
-            assets = result.frame.universe
-            cos = similarity_matrix(result.frame, end)
+        for end in frame.window_ends:
+            assets = frame.universe
+            cos = similarity_matrix(frame, end)
             planted = cos[assets.index("A00"), assets.index("A01")]
             ranks.append(int(np.sum(cos[np.triu_indices(len(assets), 1)] >= planted)))  # ties rank above
         return ranks
@@ -661,8 +665,7 @@ class TestArtifacts:
     def test_link_count_summary_shape(self, tmp_path):
         panel = tiny_panel(rows=60)
         config = tiny_config(panel, n_dates=3)
-        result = run_dynamic_fusion(config, panel)
-        summary = link_count_summary(result.graphs)
+        summary = link_count_summary(build_graphs(config, panel)[0])
         assert set(summary) == {"d1_T0"}
         entry = summary["d1_T0"]
         assert set(entry["summary"]) == {"min", "q25", "median", "q75", "max"}
